@@ -6,8 +6,15 @@ defaults to) until the next round would overrun `--seconds`. Speedometers
 (see reference.py) run beside them, and every timed call is divided by
 the unit time its CPUs showed meanwhile, which cancels the machine's slow
 stretches. The serial pass is reported as the sum, over its timed calls,
-of each call's median across the run's passes; the parallel pass, one
-pool per pass, as the median pass. Raw seconds are printed too.
+of each call's median across the run's passes; the parallel pass as the
+median pass. Raw seconds are printed too.
+
+Set-up (a fresh import of hamclass plus building and writing the inputs)
+runs SETUP_REPEATS times, pinned to the first CPU, under the speedometers
+too. `setup_s` is the median set-up in speedometer units, put into seconds
+at the fixed speed NOMINAL_UNIT_S, so that it moves with the work done in
+set-up and not with the machine's speed at the time; the median in raw
+seconds is printed beside it.
 
 Traced runs (`--trace 1`) alternate an untraced and a traced serial pass
 and report per-layer totals per traced pass, in seconds as measured, with
@@ -16,6 +23,7 @@ the difference between the two serial passes as the tracing overhead.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import json
@@ -33,7 +41,11 @@ from .reference import Speedometers
 from .tracer import Tracer
 from .workloads import WORKLOADS, Tally
 
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
+# seconds per speedometer unit at which setup_s is reported: the median
+# unit time seen on the 2-vCPU machine the baseline was measured on. Never
+# change it: setup_s figures are comparable only under the same value.
+NOMINAL_UNIT_S = 1.5e-4
 
 END_TO_END = {
     "setup_s": "s",
@@ -98,12 +110,6 @@ def load_program() -> SimpleNamespace:
     importlib.import_module("hamclass")
     mods = {name: sys.modules[f"hamclass.{name}"] for name in ("graphs", "membership", "search")}
     return SimpleNamespace(**mods)
-
-
-def _timed(fn) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
 
 
 def _noop() -> None:
@@ -173,7 +179,20 @@ def _pinned(cpus: list[int], fn):
         os.sched_setaffinity(0, before)
 
 
-def measure(wl, prog: SimpleNamespace, tally: Tally, seconds: float) -> dict[str, float]:
+def set_up(wl, workdir: Path) -> tuple[SimpleNamespace, list[tuple[float, float, float]]]:
+    """Set up SETUP_REPEATS times; return the program and each set-up's (seconds, start, end)."""
+    setups = []
+    for _ in range(SETUP_REPEATS):
+        gc.collect()
+        t0 = time.perf_counter()
+        prog = load_program()
+        wl.setup(prog, workdir)
+        t1 = time.perf_counter()
+        setups.append((t1 - t0, t0, t1))
+    return prog, setups
+
+
+def measure(wl, tally: Tally, seconds: float, workdir: Path) -> tuple[dict, SimpleNamespace]:
     cpus = sorted(os.sched_getaffinity(0))
     home = cpus[:1]
     serial = PassTimes()
@@ -188,21 +207,26 @@ def measure(wl, prog: SimpleNamespace, tally: Tally, seconds: float) -> dict[str
         wl.check(outcomes, tally, sample=False)
 
     with Speedometers(cpus) as speed:
-        _rounds(seconds, one_round)
+        prog, setups = _pinned(home, lambda: set_up(wl, workdir))
+        with wl.parallel(len(cpus)):
+            _rounds(seconds, one_round)
     walls = [b - a for a, b in parallel]
     print("serial passes s:", " ".join(f"{x:.3f}" for x in serial.passes))
     print("parallel passes s:", " ".join(f"{x:.3f}" for x in walls))
+    setup_refs = [s / speed.unit_seconds(home, a, b) for s, a, b in setups]
     return {
+        "setup_s": statistics.median(setup_refs) * NOMINAL_UNIT_S,
+        "setup_raw_s": statistics.median(s for s, _, _ in setups),
         "wall_s": serial.seconds(),
         "wall_ref": serial.refs(speed, home),
         "parallel_wall_s": statistics.median(walls),
         "parallel_wall_ref": statistics.median(
             (b - a) / speed.unit_seconds(cpus, a, b) for a, b in parallel
         ),
-    }
+    }, prog
 
 
-def trace(wl, prog: SimpleNamespace, tally: Tally, seconds: float, spans_path: Path) -> dict:
+def trace(wl, tally: Tally, seconds: float, workdir: Path, spans_path: Path) -> tuple[dict, SimpleNamespace]:
     tracer = Tracer()
     home = sorted(os.sched_getaffinity(0))[:1]
     plain = PassTimes()
@@ -226,6 +250,7 @@ def trace(wl, prog: SimpleNamespace, tally: Tally, seconds: float, spans_path: P
         wl.check(outcomes, tally, sample=False)
 
     with Speedometers(home) as speed:
+        prog, _ = _pinned(home, lambda: set_up(wl, workdir))
         _rounds(seconds, one_round)
     tracer.write(spans_path)
     passes = len(traced.passes)
@@ -270,7 +295,7 @@ def trace(wl, prog: SimpleNamespace, tally: Tally, seconds: float, spans_path: P
     walk_s = sum(m[f"{side}.{w}.s"] for side in ("walks", "replay") for w in WALKS)
     m["share.walks"] = walk_s / traced_wall
     m["_plain_wall_s"], m["_traced_wall_s"] = plain.seconds(), traced.seconds()
-    return m
+    return m, prog
 
 
 def _print_layers(m: dict) -> None:
@@ -314,16 +339,11 @@ def run(workload: str, seed: int, seconds: float, traced: bool, root: Path) -> i
     wl = WORKLOADS[workload](seed)
     tally = Tally()
     try:
-        setups = []
-        for _ in range(SETUP_REPEATS):
-            wall, prog = _timed(load_program)
-            setup_wall, _ = _timed(lambda: wl.setup(prog, workdir))
-            setups.append(wall + setup_wall)
         if traced:
             spans = out_dir / f"spans-{workload}-seed{seed}.jsonl.gz"
-            metrics = trace(wl, prog, tally, seconds, spans)
+            metrics, prog = trace(wl, tally, seconds, workdir, spans)
         else:
-            metrics = measure(wl, prog, tally, seconds)
+            metrics, prog = measure(wl, tally, seconds, workdir)
         wl.final_checks(prog, tally)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -335,11 +355,11 @@ def run(workload: str, seed: int, seconds: float, traced: bool, root: Path) -> i
     else:
         self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        metrics["setup_s"] = statistics.median(setups)
         metrics["peak_rss_mb"] = (self_kb + child_kb) / 1024
         units = END_TO_END
         for name, unit in units.items():
             print(f"{name} {metrics[name]:.4f} {unit}")
+        print(f"setup_s {metrics['setup_raw_s']:.4f} s (raw)")
         print(f"wall_s {metrics['wall_s']:.4f} s (raw)")
         print(f"parallel_wall_s {metrics['parallel_wall_s']:.4f} s (raw)")
     if hasattr(wl, "cert_ms"):

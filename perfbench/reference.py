@@ -61,7 +61,9 @@ def _measure(cpu: int, conn) -> None:
     clock, cpu_clock = time.perf_counter, time.thread_time
     while not conn.poll(PERIOD - BURST):
         t0, c0, units = clock(), cpu_clock(), 0
-        while clock() - t0 < BURST:
+        # at least one unit, even when the process was descheduled for a
+        # whole burst right after reading the clock
+        while not units or clock() - t0 < BURST:
             unit()
             units += 1
         samples.append(((t0 + clock()) / 2, (cpu_clock() - c0) / units))

@@ -4,11 +4,14 @@ Run from the repository root: python3 -m pytest perfbench/tests
 """
 
 import json
+import multiprocessing
 import os
 import random
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +20,7 @@ from hamclass import verify_certificate
 from perfbench import builders, gates
 from perfbench.harness import END_TO_END, per_layer_units
 from perfbench.reference import Speedometers
+from perfbench.workloads import Certify
 
 ROOT = Path(__file__).resolve().parents[2]
 PETERSEN = builders.graph6(10, builders.generalized_petersen(5, 2))
@@ -168,3 +172,19 @@ def test_speedometers_sample_and_stop():
     assert all(not proc.is_alive() for _, proc, _ in speed._running)
     assert len(speed.samples[cpus[0]]) >= 2
     assert 0 < speed.unit_seconds(cpus, start, end) < 0.05
+
+
+def test_certify_parallel_pass_reuses_one_pool_and_stops_it(tmp_path):
+    wl = Certify(3)
+    wl.setup(SimpleNamespace(membership=sys.modules["hamclass.membership"]), tmp_path)
+    light = [job for job in wl.jobs[0] if not job[0].heavy][:4]
+    petersen = [job for job in wl.jobs[0] if job[0].heavy and job[0].graph6[0] == "I"]
+    wl.jobs = [light + petersen] * len(wl.jobs)
+    with wl.parallel(2):
+        pool = wl.pool
+        for rnd in range(2):
+            outcomes = wl.run_pass(None, rnd, 2, lambda: None)
+            assert [problems for _, _, problems in outcomes] == [[]] * 7
+        assert wl.pool is pool
+    assert wl.pool is None
+    assert multiprocessing.active_children() == []

@@ -2,12 +2,14 @@
 
 A workload builds its inputs in `setup`, runs one pass over them in
 `run_pass` (round `rnd` of the run), and gates the outcomes in `check`,
-outside the timed region. `run_pass` returns one (item, seconds, result)
-triple per timed call, in the same order on every pass; seconds is None
-when the call ran in a worker process, and result is the call's return
-value or the exception it raised. hamclass is reached only through the
-module objects of `prog`, looked up at call time, so the tracer's wrappers
-see every call the benchmark makes.
+outside the timed region. Parallel passes run inside `parallel(workers)`,
+which starts whatever the workload keeps running between passes.
+`run_pass` returns one (item, seconds, result) triple per timed call, in
+the same order on every pass; seconds is None when the call ran in a
+worker process, and result is the call's return value or the exception
+it raised. hamclass is reached only through the module objects of
+`prog`, looked up at call time, so the tracer's wrappers see every call
+the benchmark makes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from multiprocessing import get_context
 from pathlib import Path
@@ -88,6 +90,10 @@ class Census:
             out.append((expect, wall, report))
         return out
 
+    def parallel(self, workers: int):
+        # scan starts its own pool of `workers` processes
+        return nullcontext()
+
     def check(self, outcomes: list, tally: Tally, sample: bool) -> None:
         for expect, _, report in outcomes:
             if isinstance(report, Exception):
@@ -97,6 +103,13 @@ class Census:
 
     def final_checks(self, prog: SimpleNamespace, tally: Tally) -> None:
         pass
+
+
+def _start_worker(ready) -> None:
+    """Pool initializer: import hamclass, then wait until every worker has."""
+    import hamclass  # noqa: F401
+
+    ready.wait()
 
 
 def _check_record(rec: builders.CertRecord) -> list[str]:
@@ -124,27 +137,40 @@ class Certify:
         self.members: dict[str, object] = {}
 
     def setup(self, prog: SimpleNamespace, workdir: Path) -> None:
-        # the light records repeat in every pass, so only pass 0 stores them
-        path = workdir / "certify.jsonl"
-        with path.open("w", encoding="ascii") as fh:
-            for i, recs in enumerate(builders.certify_records(self.seed, passes=PASS_INPUTS)):
-                for pos, rec in enumerate(recs):
-                    if i == 0 or rec.heavy:
-                        fh.write(json.dumps({"pass": i, "pos": pos, **asdict(rec)}) + "\n")
         m = prog.membership
-        self.jobs = []
-        with path.open(encoding="ascii") as fh:
-            for line in fh:
-                fields = json.loads(line)
-                i, pos = fields.pop("pass"), fields.pop("pos")
-                rec = builders.CertRecord(**fields)
-                if i == len(self.jobs):
-                    self.jobs.append(list(self.jobs[0]) if self.jobs else [])
-                job = (rec, m.ClassParams(rec.k, m.ClassKind(rec.kind)))
-                if i == 0:
-                    self.jobs[0].append(job)
-                else:
-                    self.jobs[i][pos] = job
+        passes = builders.certify_records(self.seed, passes=PASS_INPUTS)
+        self.jobs = [[(rec, m.ClassParams(rec.k, m.ClassKind(rec.kind))) for rec in recs]
+                     for recs in passes]
+        # the light records repeat in every pass, so only pass 0 writes them
+        with (workdir / "certify.jsonl").open("w", encoding="ascii") as fh:
+            for i, recs in enumerate(passes):
+                for rec in recs:
+                    if i == 0 or rec.heavy:
+                        fh.write(json.dumps({"pass": i, **asdict(rec)}) + "\n")
+
+    @contextmanager
+    def parallel(self, workers: int):
+        """One spawn pool for the whole run, started before the first timed pass.
+
+        The program has no parallel check, so this is the benchmark's own
+        pool: it measures certify-and-replay throughput over `workers`
+        processes, not pool start-up.
+        """
+        ctx = get_context("spawn")
+        ready = ctx.Barrier(workers + 1)
+        pool = ctx.Pool(workers, initializer=_start_worker, initargs=(ready,))
+        try:
+            ready.wait(60)
+            self.pool = pool
+            yield
+        except BaseException:
+            pool.terminate()
+            raise
+        else:
+            pool.close()
+        finally:
+            self.pool = None
+            pool.join()
 
     def run_pass(self, prog: SimpleNamespace, rnd: int, workers: int, mark: Mark) -> list:
         jobs = self.jobs[rnd % PASS_INPUTS]
@@ -152,10 +178,8 @@ class Certify:
             # heavy records first, so that no worker is left with one at the
             # end: the pass then measures per-record cost, not shuffle luck
             recs = sorted((rec for rec, _ in jobs), key=lambda rec: not rec.heavy)
-            ctx = get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                problems = pool.map(_check_record, recs, chunksize=1)
-                return [(rec, None, res) for rec, res in zip(recs, problems)]
+            problems = self.pool.map(_check_record, recs, chunksize=1)
+            return [(rec, None, res) for rec, res in zip(recs, problems)]
         search, graphs, clock = prog.search, prog.graphs, time.perf_counter
         out = []
         for rec, params in jobs:
@@ -206,8 +230,9 @@ class StreamScan:
     """`scan(source="stream")` over graph6 files at orders above the generation cap."""
 
     name = "stream_scan"
-    # 256 records per order, one scan chunk: short passes keep the run's median steady
-    PER_KIND = {builders.PLAIN: 154, builders.MIN_DEGREE: 51, builders.CONNECTIVITY: 51}
+    # 512 records per order: two scan chunks of 256, so a parallel scan
+    # keeps two workers busy, while a round stays within a 30-second run
+    PER_KIND = {builders.PLAIN: 308, builders.MIN_DEGREE: 102, builders.CONNECTIVITY: 102}
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -236,6 +261,10 @@ class StreamScan:
             wall, report = _call(scan_file)
             out.append(((label, planted), wall, report))
         return out
+
+    def parallel(self, workers: int):
+        # scan starts its own pool of `workers` processes
+        return nullcontext()
 
     def check(self, outcomes: list, tally: Tally, sample: bool) -> None:
         for (label, planted), _, report in outcomes:
