@@ -11,6 +11,7 @@ result.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -32,7 +33,26 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [str(src), str(root)]
     from perfbench.harness import run
 
-    return run(args.workload, args.seed, args.seconds, bool(args.trace), root)
+    try:
+        return run(args.workload, args.seed, args.seconds, bool(args.trace), root)
+    finally:
+        stop_children()
+
+
+def stop_children() -> None:
+    """End every process this run started and wait for each, before exiting.
+
+    Speedometers, scan pools and the certify pool are joined where they
+    are used; this catches any left by an error. Spawned processes also
+    start multiprocessing's resource tracker, which would otherwise end
+    only after this process has exited, unwaited for.
+    """
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from hamclass import verify_certificate
 from perfbench import builders, gates
 from perfbench.harness import END_TO_END, per_layer_units
 from perfbench.reference import Speedometers
+from perfbench.run import stop_children
 from perfbench.workloads import Certify
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -188,3 +189,17 @@ def test_certify_parallel_pass_reuses_one_pool_and_stops_it(tmp_path):
         assert wl.pool is pool
     assert wl.pool is None
     assert multiprocessing.active_children() == []
+
+
+def test_stop_children_ends_the_resource_tracker_too():
+    from multiprocessing import resource_tracker
+
+    with Speedometers(sorted(os.sched_getaffinity(0))[:1]):
+        pass
+    tracker = resource_tracker._resource_tracker
+    pid = tracker._pid
+    assert pid is not None
+    stop_children()
+    assert tracker._pid is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
