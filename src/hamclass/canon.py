@@ -146,11 +146,3 @@ def marked_code(g: Graph, x: int) -> tuple[int, ...]:
     others = tuple(v for v in range(g.n) if v != x)
     return _search(g.n, g.adj, [(x,), others])
 
-
-def refinement_cell_index(g: Graph, x: int) -> int:
-    """Position of x's cell in the refined uniform partition."""
-    cells = refine(g.adj, [tuple(range(g.n))])
-    for i, cell in enumerate(cells):
-        if x in cell:
-            return i
-    raise ValueError(f"vertex {x} outside graph")

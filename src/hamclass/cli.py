@@ -4,7 +4,9 @@ Every subcommand keeps stdout machine readable: certificate lines for
 ``check``, one JSON object per graph or per run for the rest. Anything
 meant for a human (skip notices, withheld witness counts, errors) goes
 to stderr. Exit status is 0 for a clean run, 1 when a scan or check
-finds a member, 2 for usage and input problems.
+finds a member, 2 for usage and input problems. A run over records
+skips a bad record with a notice and goes on; a member found anywhere
+outranks skipped records, which outrank a clean run.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import TextIO
 
 from .attachment import ClaimReport, ConfigError, build_config, verify_gamma_claim, verify_pi_claims
-from .graphs import GRAPH6_HEADER, Graph, Graph6Error, parse_graph6, vertex_connectivity
+from .graphs import Graph, vertex_connectivity
 from .membership import (
+    DEFAULT_RULES,
     RULE_ORDER,
     ClassKind,
     ClassParams,
@@ -29,7 +32,7 @@ from .membership import (
     required_connectivity,
     theorem_max_degree,
 )
-from .search import EmptinessReport, ScanSpec, certify, scan
+from .search import EmptinessReport, RecordReader, ScanSpec, certify, scan
 from .walks import circumference, detour_order, hamilton_cycle, hamilton_path
 
 EXIT_CLEAN = 0
@@ -47,20 +50,30 @@ def _open_input(path: str) -> TextIO:
     return sys.stdin if path == "-" else open(path, encoding="ascii")
 
 
-def _iter_records(handle: TextIO) -> Iterator[tuple[int, str]]:
-    """Yield (line number, graph6 payload), blank lines skipped.
+def _exit_status(member: bool, skipped: int) -> int:
+    if member:
+        return EXIT_MEMBER
+    if skipped:
+        print(f"error: {skipped} record(s) skipped", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_CLEAN
 
-    A leading ">>graph6<<" header is tolerated on the first record, with
-    or without a payload on the same line.
-    """
-    first = True
-    for lineno, raw in enumerate(handle, start=1):
-        text = raw.strip()
-        if first and text.startswith(GRAPH6_HEADER):
-            text = text[len(GRAPH6_HEADER) :]
-        first = False
-        if text:
-            yield lineno, text
+
+def _each_record(path: str, handle: Callable[[int, str, Graph], bool | None]) -> int:
+    """Run handle(line number, text, graph) over every graph6 record of
+    the input and return the exit status. A record that does not parse,
+    or whose handling raises ValueError, is skipped with a notice; handle
+    returns true for a member."""
+    member = False
+    with _open_input(path) as stream:
+        reader = RecordReader(stream)
+        for lineno, text, g in reader:
+            try:
+                if handle(lineno, text, g):
+                    member = True
+            except ValueError as exc:
+                reader.skip(lineno, exc)
+    return _exit_status(member, reader.skipped)
 
 
 def _workers() -> int:
@@ -76,21 +89,21 @@ def _workers() -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     params = ClassParams(args.k, _kind(args.kind))
     emit = args.emit_witness if args.emit_witness is not None else args.k == 1
-    status = EXIT_CLEAN
-    with _open_input(args.input) as handle:
-        for lineno, text in _iter_records(handle):
-            g = parse_graph6(text)
-            cert = certify(g, params, include_walks=emit)
-            print(cert.to_json())
-            if cert.verdict == "member":
-                status = EXIT_MEMBER
-                if not emit:
-                    print(
-                        f"record {lineno}: member; {math.comb(g.n, args.k)} deletion"
-                        " witnesses withheld (rerun with --emit-witness)",
-                        file=sys.stderr,
-                    )
-    return status
+
+    def check(lineno: int, _text: str, g: Graph) -> bool:
+        cert = certify(g, params, include_walks=emit)
+        print(cert.to_json())
+        if cert.verdict != "member":
+            return False
+        if not emit:
+            print(
+                f"record {lineno}: member; {math.comb(g.n, args.k)} deletion"
+                " witnesses withheld (rerun with --emit-witness)",
+                file=sys.stderr,
+            )
+        return True
+
+    return _each_record(args.input, check)
 
 
 def _report_json(report: EmptinessReport) -> str:
@@ -106,6 +119,7 @@ def _report_json(report: EmptinessReport) -> str:
             "pruned_per_rule": report.pruned_per_rule,
             "fully_decided": report.fully_decided,
             "members_found": list(report.members_found),
+            "skipped_records": report.skipped_records,
             "wall_seconds": round(report.wall_seconds, 3),
         }
     )
@@ -113,16 +127,13 @@ def _report_json(report: EmptinessReport) -> str:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     params = ClassParams(args.k, _kind(args.kind))
-    rules = frozenset(args.rules) if args.rules is not None else None
+    rules = DEFAULT_RULES if args.rules is None else frozenset(args.rules)
     source = "stream" if args.source == "-" else args.source
-    if rules is None:
-        spec = ScanSpec(args.n, params, source=source)
-    else:
-        spec = ScanSpec(args.n, params, source=source, prune_rules=rules)
+    spec = ScanSpec(args.n, params, source=source, prune_rules=rules)
     stream = sys.stdin if source == "stream" else None
     report = scan(spec, stream, workers=_workers())
     print(_report_json(report))
-    return EXIT_MEMBER if report.members_found else EXIT_CLEAN
+    return _exit_status(bool(report.members_found), report.skipped_records)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -172,40 +183,39 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     kind = _kind(args.kind)
     params = ClassParams(args.k, kind)
-    with _open_input(args.input) as handle:
-        for lineno, text in _iter_records(handle):
-            g = parse_graph6(text)
-            try:
-                cfg = build_config(g, args.k, kind)
-            except ConfigError as exc:
-                print(f"record {lineno} skipped: {exc}", file=sys.stderr)
-                continue
-            report = verify_gamma_claim(cfg) if kind is ClassKind.GAMMA else verify_pi_claims(cfg)
-            print(_claim_json(text, params, cfg.u1, report))
-    return EXIT_CLEAN
+
+    def audit(lineno: int, text: str, g: Graph) -> None:
+        # a graph without the decomposition is a result, not an input error
+        try:
+            cfg = build_config(g, args.k, kind)
+        except ConfigError as exc:
+            print(f"record {lineno} skipped: {exc}", file=sys.stderr)
+            return
+        report = verify_gamma_claim(cfg) if kind is ClassKind.GAMMA else verify_pi_claims(cfg)
+        print(_claim_json(text, params, cfg.u1, report))
+
+    return _each_record(args.input, audit)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    with _open_input(args.input) as handle:
-        for _, text in _iter_records(handle):
-            g = parse_graph6(text)
-            witness = None
-            if args.op == "circumference":
-                value, wit = circumference(g)
-                witness = wit
-            elif args.op == "detour":
-                value, witness = detour_order(g)
-            elif args.op == "hamcycle":
-                witness = hamilton_cycle(g)
-                value = witness is not None
-            elif args.op == "hampath":
-                witness = hamilton_path(g)
-                value = witness is not None
-            else:
-                value = vertex_connectivity(g)
-            walk = None if witness is None else list(witness.vertices)
-            print(json.dumps({"graph6": text, "op": args.op, "value": value, "witness": walk}))
-    return EXIT_CLEAN
+    def oracle(_lineno: int, text: str, g: Graph) -> None:
+        witness = None
+        if args.op == "circumference":
+            value, witness = circumference(g)
+        elif args.op == "detour":
+            value, witness = detour_order(g)
+        elif args.op == "hamcycle":
+            witness = hamilton_cycle(g)
+            value = witness is not None
+        elif args.op == "hampath":
+            witness = hamilton_path(g)
+            value = witness is not None
+        else:
+            value = vertex_connectivity(g)
+        walk = None if witness is None else list(witness.vertices)
+        print(json.dumps({"graph6": text, "op": args.op, "value": value, "witness": walk}))
+
+    return _each_record(args.input, oracle)
 
 
 def _build_parser() -> argparse.ArgumentParser:

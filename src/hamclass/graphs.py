@@ -307,27 +307,6 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def connectivity_at_least(g: Graph, t: int) -> bool:
-    """Cheaper threshold test used by the scan pipeline."""
-    if t <= 0:
-        return True
-    n = g.n
-    if n < 2:
-        return False
-    if not is_connected(g):
-        return False
-    full = g.vertex_mask
-    if all(g.adj[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1 >= t
-    for s in range(n):
-        for u in range(s + 1, n):
-            if g.adj[s] >> u & 1:
-                continue
-            if _disjoint_paths(g, s, u, t) < t:
-                return False
-    return True
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:
     """Induced subgraph on `keep`, relabeled to 0..|keep|-1 in label order."""
     if isinstance(keep, int):
@@ -348,22 +327,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:
                 row |= 1 << i
         rows.append(row)
     return Graph(len(keep_list), tuple(rows))
-
-
-def is_induced_path(g: Graph, seq: Iterable[int]) -> bool:
-    """True when seq is an induced path of g (consecutive edges, no chords)."""
-    vs = list(seq)
-    if len(set(vs)) != len(vs):
-        raise ValueError("repeated vertex in sequence")
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside graph")
-    for i, v in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            edge = bool(g.adj[v] >> vs[j] & 1)
-            if edge != (j == i + 1):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

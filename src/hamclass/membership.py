@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import floor
+from typing import Iterator
 
 from .graphs import Graph, degree_profile, induced_subgraph, vertex_connectivity
 from .walks import (
@@ -68,65 +70,57 @@ class MembershipVerdict:
     deletion_walks: tuple[CycleWitness | PathWitness, ...] | None
 
 
-def _target_length(g: Graph, params: ClassParams) -> int:
-    k = params.k
-    target = g.n - k
-    if params.kind is ClassKind.GAMMA and target < 3:
-        raise ValueError(f"no room for a cycle: order {g.n} minus {k} deleted")
-    if params.kind is ClassKind.PI and target < 1:
-        raise ValueError(f"no room for a path: order {g.n} minus {k} deleted")
+def target_length(n: int, params: ClassParams) -> int:
+    """Longest-walk order n-k that a member of order n must have.
+
+    Raises ValueError when that leaves no room for the class's walk: a
+    cycle needs 3 vertices, a path 1.
+    """
+    target = n - params.k
+    walk, least = ("cycle", 3) if params.kind is ClassKind.GAMMA else ("path", 1)
+    if target < least:
+        raise ValueError(f"no room for a {walk}: order {n} minus {params.k} deleted")
     return target
 
 
-def gamma_membership(g: Graph, k: int, *, collect_walks: bool = False) -> MembershipVerdict:
-    """Decide cycle-class membership at level k.
+def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) -> MembershipVerdict:
+    """Decide class membership at level params.k.
 
-    Circumference is compared first; deletion sets are then tried in
+    The longest walk is compared first; deletion sets are then tried in
     lexicographic order and the first failure is reported, so refutations
     are reproducible.
     """
-    params = ClassParams(k, ClassKind.GAMMA)
-    target = _target_length(g, params)
-    length, longest = circumference(g)
+    target = target_length(g.n, params)
+    # picked from the module globals on every call, never from a table built
+    # at import time, so a solver rebound after import (tracing) is the one run
+    if params.kind is ClassKind.GAMMA:
+        longest, spanning, witness = circumference, hamilton_cycle, CycleWitness
+    else:
+        longest, spanning, witness = detour_order, hamilton_path, PathWitness
+    length, best = longest(g)
     if length != target:
-        return MembershipVerdict(False, WRONG_LENGTH, length, None, longest, None)
-    walks: list[CycleWitness] | None = [] if collect_walks else None
-    for drop in combinations(range(g.n), k):
+        return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
+    walks: list[CycleWitness | PathWitness] | None = [] if collect_walks else None
+    for drop in combinations(range(g.n), params.k):
         keep = [v for v in range(g.n) if v not in drop]
-        cyc = hamilton_cycle(induced_subgraph(g, keep))
-        if cyc is None:
+        walk = spanning(induced_subgraph(g, keep))
+        if walk is None:
             return MembershipVerdict(False, BAD_DELETION_SET, None, drop, None, None)
         if walks is not None:
-            walks.append(CycleWitness(tuple(keep[i] for i in cyc.vertices)))
+            walks.append(witness(tuple(keep[i] for i in walk.vertices)))
     return MembershipVerdict(
         True, None, target, None, None, tuple(walks) if walks is not None else None
     )
+
+
+def gamma_membership(g: Graph, k: int, *, collect_walks: bool = False) -> MembershipVerdict:
+    """Cycle-class membership at level k; see `membership`."""
+    return membership(g, ClassParams(k, ClassKind.GAMMA), collect_walks=collect_walks)
 
 
 def pi_membership(g: Graph, k: int, *, collect_walks: bool = False) -> MembershipVerdict:
-    """Decide path-class membership at level k. Mirrors gamma_membership."""
-    params = ClassParams(k, ClassKind.PI)
-    target = _target_length(g, params)
-    length, longest = detour_order(g)
-    if length != target:
-        return MembershipVerdict(False, WRONG_LENGTH, length, None, longest, None)
-    walks: list[PathWitness] | None = [] if collect_walks else None
-    for drop in combinations(range(g.n), k):
-        keep = [v for v in range(g.n) if v not in drop]
-        pth = hamilton_path(induced_subgraph(g, keep))
-        if pth is None:
-            return MembershipVerdict(False, BAD_DELETION_SET, None, drop, None, None)
-        if walks is not None:
-            walks.append(PathWitness(tuple(keep[i] for i in pth.vertices)))
-    return MembershipVerdict(
-        True, None, target, None, None, tuple(walks) if walks is not None else None
-    )
-
-
-def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) -> MembershipVerdict:
-    if params.kind is ClassKind.GAMMA:
-        return gamma_membership(g, params.k, collect_walks=collect_walks)
-    return pi_membership(g, params.k, collect_walks=collect_walks)
+    """Path-class membership at level k; see `membership`."""
+    return membership(g, ClassParams(k, ClassKind.PI), collect_walks=collect_walks)
 
 
 def is_hypohamiltonian(g: Graph) -> bool:
@@ -135,32 +129,10 @@ def is_hypohamiltonian(g: Graph) -> bool:
     return gamma_membership(g, 1).member
 
 
-def hypohamiltonian_direct(g: Graph) -> bool:
-    """Textbook definition, deliberately not sharing the decider's code
-    path: non-Hamiltonian, every single deletion Hamiltonian."""
-    if g.n < 4 or hamilton_cycle(g) is not None:
-        return False
-    full = g.vertex_mask
-    return all(
-        hamilton_cycle(induced_subgraph(g, full ^ (1 << v))) is not None
-        for v in range(g.n)
-    )
-
-
 def is_hypotraceable(g: Graph) -> bool:
     if g.n < 4:
         return False
     return pi_membership(g, 1).member
-
-
-def hypotraceable_direct(g: Graph) -> bool:
-    if g.n < 4 or hamilton_path(g) is not None:
-        return False
-    full = g.vertex_mask
-    return all(
-        hamilton_path(induced_subgraph(g, full ^ (1 << v))) is not None
-        for v in range(g.n)
-    )
 
 
 def check_induced_path_property(g: Graph, k: int) -> int | None:
@@ -215,6 +187,42 @@ def parameter_emptiness(n: int, params: ClassParams) -> bool:
     return theorem_max_degree(n, params) < required_connectivity(params)
 
 
+def degree_ceilings(n: int, params: ClassParams, rules: frozenset[str]) -> list[tuple[str, int]]:
+    """(rule, largest maximum degree it allows) for each enabled rule that
+    caps degrees, in rule order. The classical (n-4)/2 ceiling applies to
+    hypohamiltonian graphs only, so only to the cycle class at k=1."""
+    caps = []
+    if "max_degree" in rules:
+        caps.append(("max_degree", floor(theorem_max_degree(n, params))))
+    if "holton_sheehan" in rules and params.kind is ClassKind.GAMMA and params.k == 1:
+        caps.append(("holton_sheehan", (n - 4) // 2))
+    return caps
+
+
+def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iterator[str]:
+    """The enabled necessary conditions g fails, cheapest first (RULE_ORDER).
+
+    Lazy: a caller that stops at the first rule pays for no later one. The
+    order threshold is a parameter-only fact and carries no claim at k=1,
+    where members below any classical bound are ruled out by search rather
+    than by formula.
+    """
+    n = g.n
+    if "order_threshold" in rules and params.k >= 2 and parameter_emptiness(n, params):
+        yield "order_threshold"
+    floor_needed = required_connectivity(params)
+    ceilings = degree_ceilings(n, params, rules)
+    if "min_degree" in rules or ceilings:
+        prof = degree_profile(g)
+        if "min_degree" in rules and prof.min_degree < floor_needed:
+            yield "min_degree"
+        for rule, cap in ceilings:
+            if prof.max_degree > cap:
+                yield rule
+    if "connectivity" in rules and (n == 1 or vertex_connectivity(g) < floor_needed):
+        yield "connectivity"
+
+
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -234,27 +242,15 @@ def bound_pipeline(g: Graph, params: ClassParams, *, holton_sheehan: bool = Fals
     violation set. The classical (n-4)/2 hypohamiltonian ceiling is
     opt-in: it is inherited knowledge, not something re-proven here.
     """
-    n = g.n
-    k = params.k
-    floor = required_connectivity(params)
-    ceiling = theorem_max_degree(n, params)
-    threshold = emptiness_threshold(params)
-    prof = degree_profile(g)
-    bad = set()
-    if k >= 2 and n < threshold:
-        bad.add("order_threshold")
-    if prof.min_degree < floor:
-        bad.add("min_degree")
-    if prof.max_degree > ceiling:
-        bad.add("max_degree")
-    if (
-        holton_sheehan
-        and params.kind is ClassKind.GAMMA
-        and k == 1
-        and 2 * prof.max_degree > n - 4
-    ):
-        bad.add("holton_sheehan")
-    kappa = 0 if n == 1 else vertex_connectivity(g)
-    if kappa < floor:
-        bad.add("connectivity")
-    return BoundReport(n, k, params.kind, floor, ceiling, floor, threshold, frozenset(bad))
+    rules = frozenset(RULE_ORDER) if holton_sheehan else DEFAULT_RULES
+    floor_needed = required_connectivity(params)
+    return BoundReport(
+        g.n,
+        params.k,
+        params.kind,
+        floor_needed,
+        theorem_max_degree(g.n, params),
+        floor_needed,
+        emptiness_threshold(params),
+        frozenset(violated_rules(g, params, rules)),
+    )

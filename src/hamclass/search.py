@@ -18,12 +18,14 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice, repeat
-from math import floor
 from typing import Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected
+# degree_profile and vertex_connectivity are called from .membership; they
+# stay bound here because perfbench/tracer.py wraps them in this module
 from .graphs import (
     GRAPH6_HEADER,
     Graph,
@@ -41,10 +43,10 @@ from .membership import (
     WRONG_LENGTH,
     ClassKind,
     ClassParams,
+    degree_ceilings,
     membership,
-    parameter_emptiness,
-    required_connectivity,
-    theorem_max_degree,
+    target_length,
+    violated_rules,
 )
 from .walks import (
     circumference,
@@ -190,11 +192,12 @@ def verify_certificate(cert: Certificate) -> bool:
     except Graph6Error as exc:
         raise CertificateError(f"embedded graph does not parse: {exc}") from exc
     kind, k = cert.kind, cert.k
-    target = g.n - k
-    if kind is ClassKind.GAMMA and target < 3:
+    try:
+        params = ClassParams(k, kind)
+        target = target_length(g.n, params)
+    except ValueError:
         return False
-    if kind is ClassKind.PI and target < 1:
-        return False
+    longest = circumference if kind is ClassKind.GAMMA else detour_order
 
     if cert.verdict == "member":
         if cert.reason is not None or cert.witness_set is not None:
@@ -202,9 +205,8 @@ def verify_certificate(cert: Certificate) -> bool:
         if cert.found_length is not None and cert.found_length != target:
             return False
         if cert.witness_walks is None:
-            return membership(g, ClassParams(k, kind)).member
-        exact = circumference(g)[0] if kind is ClassKind.GAMMA else detour_order(g)[0]
-        if exact != target:
+            return membership(g, params).member
+        if longest(g)[0] != target:
             return False
         drops = list(combinations(range(g.n), k))
         if len(cert.witness_walks) != len(drops):
@@ -228,8 +230,7 @@ def verify_certificate(cert: Certificate) -> bool:
                 return False
             if found > target:
                 return True
-        exact = circumference(g)[0] if kind is ClassKind.GAMMA else detour_order(g)[0]
-        return exact == found
+        return longest(g)[0] == found
 
     if cert.reason == BAD_DELETION_SET:
         if cert.found_length is not None or cert.witness_walks is not None:
@@ -264,9 +265,7 @@ class ScanSpec:
         unknown = set(self.prune_rules) - set(RULE_ORDER)
         if unknown:
             raise ValueError(f"unknown prune rules {sorted(unknown)}")
-        floor_needed = 3 if self.params.kind is ClassKind.GAMMA else 1
-        if self.n - self.params.k < floor_needed:
-            raise ValueError(f"order {self.n} leaves no room at k={self.params.k}")
+        target_length(self.n, self.params)
 
 
 @dataclass(frozen=True)
@@ -277,75 +276,49 @@ class EmptinessReport:
     fully_decided: int
     members_found: tuple[str, ...]
     wall_seconds: float
+    skipped_records: int = 0
 
 
 def first_violated_rule(g: Graph, params: ClassParams, rules: frozenset[str]) -> str | None:
-    """Cheapest-first staged rules; the first hit takes the attribution.
+    """The first rule of `violated_rules` g fails; it takes the attribution."""
+    return next(violated_rules(g, params, rules), None)
 
-    The order threshold is a parameter-only fact and carries no claim at
-    k=1, where members below any classical bound are ruled out by search
-    rather than by formula.
+
+class RecordReader:
+    """The graph6 records of a text stream, under one skip policy.
+
+    Iterating yields (line number, record text, graph). Blank lines are
+    ignored and a ">>graph6<<" header is tolerated on the first line. A
+    record that does not parse, that has another order than `order` when
+    one is given, or that a consumer passes to `skip`, is logged with its
+    line number and counted in `skipped`, and reading goes on.
     """
-    n = g.n
-    prof = None
-    for rule in RULE_ORDER:
-        if rule not in rules:
-            continue
-        if rule == "order_threshold":
-            if params.k >= 2 and parameter_emptiness(n, params):
-                return rule
-        elif rule == "min_degree":
-            prof = prof or degree_profile(g)
-            if prof.min_degree < required_connectivity(params):
-                return rule
-        elif rule == "max_degree":
-            prof = prof or degree_profile(g)
-            if prof.max_degree > theorem_max_degree(n, params):
-                return rule
-        elif rule == "holton_sheehan":
-            if params.kind is ClassKind.GAMMA and params.k == 1:
-                prof = prof or degree_profile(g)
-                if 2 * prof.max_degree > n - 4:
-                    return rule
-        elif rule == "connectivity":
-            kappa = 0 if n == 1 else vertex_connectivity(g)
-            if kappa < required_connectivity(params):
-                return rule
-    return None
 
+    def __init__(self, stream: Iterable[str], order: int | None = None) -> None:
+        self.stream = stream
+        self.order = order
+        self.skipped = 0
 
-def _generator_ceiling(spec: ScanSpec) -> int | None:
-    cap = None
-    if "max_degree" in spec.prune_rules:
-        cap = floor(theorem_max_degree(spec.n, spec.params))
-    if (
-        "holton_sheehan" in spec.prune_rules
-        and spec.params.kind is ClassKind.GAMMA
-        and spec.params.k == 1
-    ):
-        hs = (spec.n - 4) // 2
-        cap = hs if cap is None else min(cap, hs)
-    return cap
+    def skip(self, lineno: int, reason: object) -> None:
+        self.skipped += 1
+        log.warning("record %d skipped: %s", lineno, reason)
 
-
-def _iter_stream(stream: Iterable[str], n: int, tally: list[int]) -> Iterator[Graph]:
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if lineno == 1 and line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER) :].strip()
-        if not line:
-            continue
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            tally[0] += 1
-            log.warning("record %d skipped: %s", lineno, exc)
-            continue
-        if g.n != n:
-            tally[0] += 1
-            log.warning("record %d skipped: order %d in an order-%d scan", lineno, g.n, n)
-            continue
-        yield g
+    def __iter__(self) -> Iterator[tuple[int, str, Graph]]:
+        for lineno, raw in enumerate(self.stream, 1):
+            text = raw.strip()
+            if lineno == 1 and text.startswith(GRAPH6_HEADER):
+                text = text[len(GRAPH6_HEADER) :].strip()
+            if not text:
+                continue
+            try:
+                g = parse_graph6(text)
+            except Graph6Error as exc:
+                self.skip(lineno, exc)
+                continue
+            if self.order is not None and g.n != self.order:
+                self.skip(lineno, f"order {g.n} in an order-{self.order} scan")
+                continue
+            yield lineno, text, g
 
 
 def _decide_chunk(
@@ -365,67 +338,44 @@ def _decide_chunk(
     return counts, decided, members
 
 
-def _chunks(graphs: Iterator[Graph], size: int) -> Iterator[list[Graph]]:
-    while True:
-        block = list(islice(graphs, size))
-        if not block:
-            return
-        yield block
-
-
 def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, workers: int = 1) -> EmptinessReport:
     """Examine every graph of order spec.n from the chosen source.
 
-    The max-degree ceiling (and the optional classical one at k=1) is
-    pushed into the generator when its rule is enabled: graphs above the
-    ceiling are never materialized, so they appear in no count. Reports
-    from parallel chunks merge commutatively and members_found is sorted,
-    making the report independent of completion order.
+    The degree ceilings of the enabled rules are pushed into the
+    generator: graphs above them are never materialized, so they appear
+    in no count. Graphs are decided in chunks of 256, in this process for
+    one worker and in a process pool otherwise; chunk reports merge
+    commutatively and members_found is sorted, making the report
+    independent of completion order.
     """
     start = time.perf_counter()
-    tally = [0]
+    reader = None
     if spec.source == SOURCE_STREAM:
         if stream is None:
             raise ValueError("stream source needs an input stream")
-        graphs: Iterator[Graph] = _iter_stream(stream, spec.n, tally)
+        reader = RecordReader(stream, spec.n)
+        graphs: Iterator[Graph] = (g for _, _, g in reader)
     else:
-        cap = _generator_ceiling(spec)
+        caps = degree_ceilings(spec.n, spec.params, spec.prune_rules)
+        cap = min((c for _, c in caps), default=None)
         if cap is not None and cap < 0:
             graphs = iter(())
         else:
             graphs = generate_connected(spec.n, max_degree=cap)
 
     pruned = {rule: 0 for rule in RULE_ORDER if rule in spec.prune_rules}
-    total = 0
     decided = 0
     members: list[str] = []
-    if workers > 1:
-
-        def blocks() -> Iterator[list[Graph]]:
-            nonlocal total
-            for block in _chunks(graphs, 256):
-                total += len(block)
-                yield block
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block_counts, block_decided, block_members in pool.map(
-                _decide_chunk, blocks(), repeat(spec.params), repeat(spec.prune_rules)
-            ):
-                for rule, c in block_counts.items():
-                    pruned[rule] += c
-                decided += block_decided
-                members.extend(block_members)
-    else:
-        for g in graphs:
-            total += 1
-            rule = first_violated_rule(g, spec.params, spec.prune_rules)
-            if rule is not None:
-                pruned[rule] += 1
-                continue
-            decided += 1
-            if membership(g, spec.params).member:
-                members.append(write_graph6(g))
-    if tally[0]:
-        log.warning("%d malformed or mismatched records skipped", tally[0])
+    chunks = iter(lambda: list(islice(graphs, 256)), [])
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for block_counts, block_decided, block_members in (map if pool is None else pool.map)(
+            _decide_chunk, chunks, repeat(spec.params), repeat(spec.prune_rules)
+        ):
+            for rule, c in block_counts.items():
+                pruned[rule] += c
+            decided += block_decided
+            members.extend(block_members)
     wall = time.perf_counter() - start
-    return EmptinessReport(spec, total, pruned, decided, tuple(sorted(members)), wall)
+    total = sum(pruned.values()) + decided
+    skipped = 0 if reader is None else reader.skipped
+    return EmptinessReport(spec, total, pruned, decided, tuple(sorted(members)), wall, skipped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, closure_mask
+from .graphs import Graph, bits, closure_mask, mask_of
 
 
 class WitnessError(ValueError):
@@ -307,38 +307,6 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
     return best, PathWitness(best_path)
 
 
-def circumference_dp_oracle(g: Graph) -> int:
-    """Independent subset DP over (vertex set, endpoint) states.
-
-    Cycles close at the minimum-label vertex of their support, so each
-    subset is charged to a single anchor and no cycle is counted from two
-    rotations. Exponential in n; hard cap at 20 vertices.
-    """
-    n = g.n
-    if n > 20:
-        raise ValueError("oracle capped at 20 vertices")
-    adj = g.adj
-    ends = [0] * (1 << n)
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    best = 0
-    for mask in range(1, 1 << n):
-        reach = ends[mask]
-        if not reach:
-            continue
-        anchor_bit = mask & -mask
-        anchor = anchor_bit.bit_length() - 1
-        size = mask.bit_count()
-        if size >= 3 and reach & adj[anchor] and size > best:
-            best = size
-        above = ~((anchor_bit << 1) - 1)
-        for v in bits(reach):
-            grow = adj[v] & ~mask & above
-            for w in bits(grow):
-                ends[mask | (1 << w)] |= 1 << w
-    return best
-
-
 def longest_induced_path_from(g: Graph, v: int, stop_at: int | None = None) -> PathWitness:
     """Longest induced path with endpoint v.
 
@@ -383,7 +351,7 @@ def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
         raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
     n = g.n
     adj = g.adj
-    cmask = mask_from(cyc.vertices)
+    cmask = mask_of(cyc.vertices)
     outside = g.vertex_mask & ~cmask
     if not outside:
         return None
@@ -410,9 +378,3 @@ def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
                 return CycleWitness(new)
     return None
 
-
-def mask_from(vertices: tuple[int, ...]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m

@@ -36,10 +36,14 @@ from hamclass.walks import (
     WitnessError,
     check_witness,
     circumference,
-    circumference_dp_oracle,
     detour_order,
 )
-from util import random_connected_graph, random_graph, sparse_attachment_graph
+from util import (
+    circumference_dp_oracle,
+    random_connected_graph,
+    random_graph,
+    sparse_attachment_graph,
+)
 
 GAMMA = ClassKind.GAMMA
 PI = ClassKind.PI

@@ -9,7 +9,6 @@ from hamclass.canon import (
     canonical_graph6,
     marked_code,
     refine,
-    refinement_cell_index,
 )
 from hamclass.graphs import (
     Graph,
@@ -19,7 +18,7 @@ from hamclass.graphs import (
     path_graph,
     petersen,
 )
-from util import brute_orbits, min_perm_code, random_graph, relabel
+from util import brute_orbits, min_perm_code, random_graph, refinement_cell_index, relabel
 
 
 def test_refine_splits_by_degree_first():

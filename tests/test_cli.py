@@ -59,6 +59,16 @@ def test_check_garbage_exits_two(monkeypatch, capsys):
     assert "error" in err
 
 
+def test_check_bad_record_keeps_member_status(monkeypatch, capsys, caplog):
+    feed(monkeypatch, PETERSEN, "zzz")
+    code, out, err = run(capsys, ["check", "--k", "1"])
+    assert code == 1
+    (line,) = out.splitlines()
+    assert json.loads(line)["verdict"] == "member"
+    assert "record 2 skipped" in caplog.text
+    assert "error" not in err
+
+
 def test_check_witness_suppression(monkeypatch, capsys):
     feed(monkeypatch, PETERSEN)
     code, out, err = run(capsys, ["check", "--k", "1", "--no-emit-witness"])
@@ -171,6 +181,25 @@ def test_oracle_circumference(monkeypatch, capsys):
     first, second = (json.loads(line) for line in out.splitlines())
     assert first["value"] == 9 and len(first["witness"]) == 9
     assert second["value"] == 0 and second["witness"] is None
+
+
+def test_oracle_skips_record_it_cannot_answer(monkeypatch, capsys, caplog):
+    feed(monkeypatch, "@", PETERSEN)
+    code, out, err = run(capsys, ["oracle", "--op", "connectivity"])
+    assert code == 2
+    (line,) = out.splitlines()
+    assert json.loads(line) == {"graph6": PETERSEN, "op": "connectivity", "value": 3, "witness": None}
+    assert "record 1 skipped" in caplog.text
+    assert "error: 1 record(s) skipped" in err
+
+
+def test_scan_stream_skipped_records_exit_two(monkeypatch, capsys):
+    feed(monkeypatch, write_graph6(cycle_graph(10)), "!!nonsense", write_graph6(cycle_graph(5)))
+    code, out, err = run(capsys, ["scan", "--n", "10", "--k", "1", "--source", "-"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["total_examined"] == 1 and report["skipped_records"] == 2
+    assert "error: 2 record(s) skipped" in err
 
 
 def test_oracle_other_ops(monkeypatch, capsys):

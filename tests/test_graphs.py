@@ -14,15 +14,19 @@ from hamclass.graphs import (
     degree_profile,
     induced_subgraph,
     is_connected,
-    is_induced_path,
     parse_graph6,
     path_graph,
     petersen,
     vertex_connectivity,
-    connectivity_at_least,
     write_graph6,
 )
-from util import brute_connectivity, random_graph, ref_graph6_decode, ref_graph6_encode
+from util import (
+    brute_connectivity,
+    is_induced_path,
+    random_graph,
+    ref_graph6_decode,
+    ref_graph6_encode,
+)
 
 
 def test_graph_invariants_rejected():
@@ -154,8 +158,6 @@ def test_connectivity_against_brute_force():
         g = random_graph(rng, n, rng.random())
         want = brute_connectivity(g)
         assert vertex_connectivity(g) == want
-        for t in range(n):
-            assert connectivity_at_least(g, t) == (want >= t)
 
 
 def test_connectivity_monotone_under_edge_addition():

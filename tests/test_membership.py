@@ -22,8 +22,6 @@ from hamclass.membership import (
     connectivity_requirement,
     emptiness_threshold,
     gamma_membership,
-    hypohamiltonian_direct,
-    hypotraceable_direct,
     is_hypohamiltonian,
     is_hypotraceable,
     membership,
@@ -33,7 +31,12 @@ from hamclass.membership import (
     theorem_max_degree,
 )
 from hamclass.walks import check_witness, is_cycle_in, is_path_in
-from util import brute_longest_induced_path_from, random_connected_graph
+from util import (
+    brute_longest_induced_path_from,
+    hypohamiltonian_direct,
+    hypotraceable_direct,
+    random_connected_graph,
+)
 
 GAMMA = ClassKind.GAMMA
 PI = ClassKind.PI

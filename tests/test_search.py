@@ -13,7 +13,7 @@ from hamclass.graphs import (
     petersen,
     write_graph6,
 )
-from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams
+from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams, bound_pipeline
 from hamclass.search import (
     Certificate,
     CertificateError,
@@ -132,6 +132,34 @@ def test_first_violated_rule_respects_flags():
     four_reg = Graph.from_edges(10, [(i, (i + j) % 10) for i in range(10) for j in (1, 2)])
     assert first_violated_rule(four_reg, G1, frozenset(RULE_ORDER)) == "holton_sheehan"
     assert first_violated_rule(four_reg, G1, DEFAULT_RULES) is None
+
+
+@pytest.fixture(scope="module")
+def connected_to_order_7():
+    return {n: list(generate_connected(n)) for n in range(1, 8)}
+
+
+def test_first_violated_rule_matches_bound_pipeline(connected_to_order_7):
+    for graphs in connected_to_order_7.values():
+        for g in graphs:
+            for kind in ClassKind:
+                for k in (1, 2):
+                    params = ClassParams(k, kind)
+                    for hs, rules in ((False, DEFAULT_RULES), (True, frozenset(RULE_ORDER))):
+                        violated = bound_pipeline(g, params, holton_sheehan=hs).violated
+                        first = next((r for r in RULE_ORDER if r in violated), None)
+                        assert first_violated_rule(g, params, rules) == first
+
+
+def test_stream_scan_serial_and_parallel_agree(connected_to_order_7):
+    lines = [write_graph6(g) for g in connected_to_order_7[7]]
+    lines.insert(100, "!!not-a-record")
+    spec = ScanSpec(7, G1, source="stream")
+    serial = scan(spec, lines, workers=1)
+    parallel = scan(spec, lines, workers=2)
+    assert serial.total_examined == 853 and serial.skipped_records == 1
+    strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
+    assert strip(serial) == strip(parallel)
 
 
 def test_certify_petersen_member():

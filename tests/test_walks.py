@@ -19,7 +19,6 @@ from hamclass.walks import (
     WitnessError,
     check_witness,
     circumference,
-    circumference_dp_oracle,
     detour_order,
     extend_cycle,
     hamilton_cycle,
@@ -30,6 +29,7 @@ from hamclass.walks import (
 )
 from util import (
     brute_longest_cycle,
+    circumference_dp_oracle,
     brute_longest_induced_path_from,
     brute_longest_path,
     random_graph,

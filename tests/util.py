@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterable
 
-from hamclass.graphs import Graph
+from hamclass.canon import refine
+from hamclass.graphs import Graph, bits, induced_subgraph
 from hamclass.membership import ClassKind
+from hamclass.walks import hamilton_cycle, hamilton_path
 
 
 def ref_graph6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -274,3 +277,82 @@ def sparse_attachment_graph(m: int, cuts: tuple[int, ...], kind: ClassKind) -> G
         edges.append((spine[-1], spine[0]))
     edges.extend((1, spine[p]) for p in cuts)
     return Graph.from_edges(m + 2, edges)
+
+
+def hypohamiltonian_direct(g: Graph) -> bool:
+    """Textbook definition, deliberately not sharing the decider's code
+    path: non-Hamiltonian, every single deletion Hamiltonian."""
+    if g.n < 4 or hamilton_cycle(g) is not None:
+        return False
+    full = g.vertex_mask
+    return all(
+        hamilton_cycle(induced_subgraph(g, full ^ (1 << v))) is not None
+        for v in range(g.n)
+    )
+
+
+def hypotraceable_direct(g: Graph) -> bool:
+    if g.n < 4 or hamilton_path(g) is not None:
+        return False
+    full = g.vertex_mask
+    return all(
+        hamilton_path(induced_subgraph(g, full ^ (1 << v))) is not None
+        for v in range(g.n)
+    )
+
+
+def refinement_cell_index(g: Graph, x: int) -> int:
+    """Position of x's cell in the refined uniform partition."""
+    cells = refine(g.adj, [tuple(range(g.n))])
+    for i, cell in enumerate(cells):
+        if x in cell:
+            return i
+    raise ValueError(f"vertex {x} outside graph")
+
+
+def is_induced_path(g: Graph, seq: Iterable[int]) -> bool:
+    """True when seq is an induced path of g (consecutive edges, no chords)."""
+    vs = list(seq)
+    if len(set(vs)) != len(vs):
+        raise ValueError("repeated vertex in sequence")
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside graph")
+    for i, v in enumerate(vs):
+        for j in range(i + 1, len(vs)):
+            edge = bool(g.adj[v] >> vs[j] & 1)
+            if edge != (j == i + 1):
+                return False
+    return True
+
+
+def circumference_dp_oracle(g: Graph) -> int:
+    """Independent subset DP over (vertex set, endpoint) states.
+
+    Cycles close at the minimum-label vertex of their support, so each
+    subset is charged to a single anchor and no cycle is counted from two
+    rotations. Exponential in n; hard cap at 20 vertices.
+    """
+    n = g.n
+    if n > 20:
+        raise ValueError("oracle capped at 20 vertices")
+    adj = g.adj
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    best = 0
+    for mask in range(1, 1 << n):
+        reach = ends[mask]
+        if not reach:
+            continue
+        anchor_bit = mask & -mask
+        anchor = anchor_bit.bit_length() - 1
+        size = mask.bit_count()
+        if size >= 3 and reach & adj[anchor] and size > best:
+            best = size
+        above = ~((anchor_bit << 1) - 1)
+        for v in bits(reach):
+            grow = adj[v] & ~mask & above
+            for w in bits(grow):
+                ends[mask | (1 << w)] |= 1 << w
+    return best
