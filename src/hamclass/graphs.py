@@ -96,6 +96,19 @@ class Graph:
         return (1 << self.n) - 1
 
 
+def trusted_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without the `__post_init__` checks.
+
+    For callers whose rows are valid by construction (symmetric, loop-free,
+    inside 0..n-1), such as the generator growing a checked parent by one
+    vertex; the checks cost more than the rest of building a child.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     min_degree: int
@@ -286,11 +299,21 @@ def _disjoint_paths(g: Graph, s: int, t: int, cutoff: int) -> int:
     return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected."""
+def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
+    """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
+
+    With at_most = t the answer is min(connectivity, t), found by trying
+    every vertex set of fewer than t vertices as a cut: C(n, s) closures
+    for each size s < t, far cheaper than flows when t is small and the
+    question is only whether a connectivity floor is met.
+    """
     n = g.n
     if n < 2:
         raise ValueError("connectivity needs at least 2 vertices")
+    if at_most is not None:
+        if at_most < 0:
+            raise ValueError("negative connectivity cap")
+        return _connectivity_below(g, at_most)
     if not is_connected(g):
         return 0
     full = g.vertex_mask
@@ -305,6 +328,19 @@ def vertex_connectivity(g: Graph) -> int:
             if best == 0:
                 return 0
     return best
+
+
+def _connectivity_below(g: Graph, t: int) -> int:
+    """min(connectivity, t): the size of the smallest cut of fewer than t
+    vertices, or min(t, n-1) when there is none."""
+    adj, full, n = g.adj, g.vertex_mask, g.n
+    # a cut leaves at least two vertices, so it has at most n-2
+    for size in range(min(t, n - 1)):
+        for cut in combinations([1 << v for v in range(n)], size):
+            rest = full ^ sum(cut)
+            if closure_mask(adj, rest, rest & -rest) != rest:
+                return size
+    return min(t, n - 1)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:

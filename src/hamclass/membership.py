@@ -157,7 +157,8 @@ def required_connectivity(params: ClassParams) -> int:
 def connectivity_requirement(g: Graph, params: ClassParams) -> bool:
     if g.n == 1:
         return False
-    return vertex_connectivity(g) >= required_connectivity(params)
+    need = required_connectivity(params)
+    return vertex_connectivity(g, at_most=need) >= need
 
 
 def theorem_max_degree(n: int, params: ClassParams) -> Fraction:
@@ -199,6 +200,27 @@ def degree_ceilings(n: int, params: ClassParams, rules: frozenset[str]) -> list[
     return caps
 
 
+def _order_threshold_fires(n: int, params: ClassParams, rules: frozenset[str]) -> bool:
+    return "order_threshold" in rules and params.k >= 2 and parameter_emptiness(n, params)
+
+
+def degree_window(n: int, params: ClassParams, rules: frozenset[str]) -> tuple[int, int | None]:
+    """(floor, ceiling) on the degrees of the graphs worth generating for a
+    scan of order n under these rules; None means no ceiling.
+
+    Every graph outside the window would be pruned by min_degree or by a
+    degree-ceiling rule, so leaving it out changes no other count. The
+    floor is dropped (0) when the window is empty or the order threshold
+    prunes the whole order, so that order_threshold keeps the attribution
+    of the ceiling-respecting graphs.
+    """
+    ceiling = min((cap for _, cap in degree_ceilings(n, params, rules)), default=None)
+    floor_needed = required_connectivity(params) if "min_degree" in rules else 0
+    if _order_threshold_fires(n, params, rules) or (ceiling is not None and floor_needed > ceiling):
+        floor_needed = 0
+    return floor_needed, ceiling
+
+
 def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iterator[str]:
     """The enabled necessary conditions g fails, cheapest first (RULE_ORDER).
 
@@ -208,7 +230,7 @@ def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iter
     than by formula.
     """
     n = g.n
-    if "order_threshold" in rules and params.k >= 2 and parameter_emptiness(n, params):
+    if _order_threshold_fires(n, params, rules):
         yield "order_threshold"
     floor_needed = required_connectivity(params)
     ceilings = degree_ceilings(n, params, rules)
@@ -219,7 +241,9 @@ def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iter
         for rule, cap in ceilings:
             if prof.max_degree > cap:
                 yield rule
-    if "connectivity" in rules and (n == 1 or vertex_connectivity(g) < floor_needed):
+    if "connectivity" in rules and (
+        n == 1 or vertex_connectivity(g, at_most=floor_needed) < floor_needed
+    ):
         yield "connectivity"
 
 

@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected
@@ -43,7 +43,7 @@ from .membership import (
     WRONG_LENGTH,
     ClassKind,
     ClassParams,
-    degree_ceilings,
+    degree_window,
     membership,
     target_length,
     violated_rules,
@@ -341,12 +341,12 @@ def _decide_chunk(
 def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, workers: int = 1) -> EmptinessReport:
     """Examine every graph of order spec.n from the chosen source.
 
-    The degree ceilings of the enabled rules are pushed into the
-    generator: graphs above them are never materialized, so they appear
-    in no count. Graphs are decided in chunks of 256, in this process for
-    one worker and in a process pool otherwise; chunk reports merge
-    commutatively and members_found is sorted, making the report
-    independent of completion order.
+    The degree window of the enabled rules (`degree_window`) is pushed
+    into the generator: graphs outside it are never materialized, so they
+    appear in no count. Graphs are decided in chunks of 256, in this
+    process for one worker or a single chunk and in a process pool
+    otherwise; chunk reports merge commutatively and members_found is
+    sorted, making the report independent of completion order.
     """
     start = time.perf_counter()
     reader = None
@@ -356,18 +356,21 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
         reader = RecordReader(stream, spec.n)
         graphs: Iterator[Graph] = (g for _, _, g in reader)
     else:
-        caps = degree_ceilings(spec.n, spec.params, spec.prune_rules)
-        cap = min((c for _, c in caps), default=None)
+        floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
         if cap is not None and cap < 0:
             graphs = iter(())
         else:
-            graphs = generate_connected(spec.n, max_degree=cap)
+            graphs = generate_connected(spec.n, max_degree=cap, min_degree=floor)
 
     pruned = {rule: 0 for rule in RULE_ORDER if rule in spec.prune_rules}
     decided = 0
     members: list[str] = []
     chunks = iter(lambda: list(islice(graphs, 256)), [])
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    # a pool pays off only when there is a second chunk to share out
+    head = list(islice(chunks, 2))
+    chunks = chain(head, chunks)
+    parallel = workers > 1 and len(head) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for block_counts, block_decided, block_members in (map if pool is None else pool.map)(
             _decide_chunk, chunks, repeat(spec.params), repeat(spec.prune_rules)
         ):

@@ -16,14 +16,15 @@ import pytest
 
 from hamclass.attachment import ConfigError, build_config, verify_gamma_claim, verify_pi_claims
 from hamclass.canon import canonical_form
-from hamclass.generate import generate_connected
 from hamclass.graphs import degree_profile, parse_graph6, petersen, write_graph6
 from hamclass.membership import (
+    DEFAULT_RULES,
     RULE_ORDER,
     ClassKind,
     ClassParams,
     check_induced_path_property,
     connectivity_requirement,
+    degree_ceilings,
     emptiness_threshold,
     gamma_membership,
     parameter_emptiness,
@@ -59,11 +60,6 @@ def announce(capsys, num, label, failures, t0, budget):
         verdict = "FAIL" if failures else "PASS"
         print(f"acceptance {num} {label}: {verdict} ({elapsed:.1f}s)", flush=True)
     assert not failures, "; ".join(failures[:8])
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    return {n: list(generate_connected(n)) for n in range(1, 9)}
 
 
 @pytest.fixture(scope="session")
@@ -251,11 +247,46 @@ def test_8_prune_rules_never_drop_members(capsys, corpus):
         for k in (1, 2):
             params = ClassParams(k, kind)
             for n in range(_smallest_order(params), 9):
+                where = f"n={n}, k={k}, {kind.value}"
                 lines = [write_graph6(g) for g in corpus[n]]
                 on = scan(ScanSpec(n, params, source="stream", prune_rules=ALL_RULES), lines)
                 off = scan(ScanSpec(n, params, source="stream", prune_rules=frozenset()), lines)
                 if on.members_found != off.members_found:
-                    failures.append(f"pruning changed the members at n={n}, k={k}, {kind.value}")
+                    failures.append(f"pruning changed the members at {where}")
                 if not (on.total_examined == off.total_examined == len(lines)):
-                    failures.append(f"scan lost records at n={n}, k={k}, {kind.value}")
+                    failures.append(f"scan lost records at {where}")
+                for rules in (DEFAULT_RULES, ALL_RULES):
+                    failures += _gen_stream_split(n, params, rules, lines, where)
     announce(capsys, 8, "prune rules agree with exhaustive decisions", failures, t0, 600)
+
+
+def _gen_stream_split(n, params, rules, lines, where):
+    """How a generator scan departs from a stream scan of the same corpus.
+
+    The generator never makes a graph outside the degree window, which the
+    stream scan attributes to min_degree or to a ceiling rule (max_degree,
+    holton_sheehan); every other count agrees. With an empty window only
+    the ceilings are pushed, so the order threshold, when it fires, counts
+    only the graphs under them.
+    """
+    gen = scan(ScanSpec(n, params, prune_rules=rules))
+    stream = scan(ScanSpec(n, params, source="stream", prune_rules=rules), lines)
+    where = f"{where}, {len(rules)} rules"
+    outside = ("min_degree", "max_degree", "holton_sheehan")
+    ceiling = min(cap for _, cap in degree_ceilings(n, params, rules))
+    open_window = required_connectivity(params) <= ceiling
+    failures = []
+    if gen.members_found != stream.members_found:
+        failures.append(f"generator and stream members differ at {where}")
+    if gen.fully_decided != stream.fully_decided:
+        failures.append(f"generator and stream decided counts differ at {where}")
+    for rule in ("order_threshold", "connectivity") if open_window else ("connectivity",):
+        if gen.pruned_per_rule.get(rule) != stream.pruned_per_rule.get(rule):
+            failures.append(f"generator and stream {rule} counts differ at {where}")
+    for rule in outside if open_window else outside[1:]:
+        if gen.pruned_per_rule.get(rule, 0):
+            failures.append(f"generator scan pruned by {rule} at {where}")
+    dropped = sum(stream.pruned_per_rule.get(rule, 0) for rule in outside)
+    if open_window and gen.total_examined != stream.total_examined - dropped:
+        failures.append(f"generator examined {gen.total_examined} at {where}")
+    return failures

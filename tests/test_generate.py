@@ -55,15 +55,39 @@ def test_labeled_count_identity_order_7():
     assert got == total[7]
 
 
-def test_degree_ceiling():
+def test_degree_ceiling(corpus):
     full = {canonical_form(g) for g in generate_connected(6) if degree_profile(g).max_degree <= 3}
     capped = {canonical_form(g) for g in generate_connected(6, max_degree=3)}
     assert capped == full
+    for n in range(1, 9):
+        profiled = [(canonical_form(g), degree_profile(g)) for g in corpus[n]]
+        windows = ((1, 2), (0, 3), (2, 3), (3, 3), (3, 4), (4, 4), (3, None), (4, None), (n - 1, None))
+        for lo, hi in windows:
+            window = [canonical_form(g) for g in generate_connected(n, max_degree=hi, min_degree=lo)]
+            assert len(window) == len(set(window))
+            assert set(window) == {
+                form
+                for form, prof in profiled
+                if prof.min_degree >= lo and (hi is None or prof.max_degree <= hi)
+            }
     for g in generate_connected(7, max_degree=2):
         prof = degree_profile(g)
         assert prof.max_degree <= 2
     # connected graphs with all degrees at most 2 are paths and cycles
     assert sum(1 for _ in generate_connected(7, max_degree=2)) == 2
+
+
+# connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)
+REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
+
+
+@pytest.mark.parametrize("degree, n", sorted(REGULAR_COUNTS))
+def test_regular_counts(degree, n):
+    forms = set()
+    for g in generate_connected(n, max_degree=degree, min_degree=degree):
+        assert all(g.degree(v) == degree for v in range(n))
+        forms.add(canonical_form(g))
+    assert len(forms) == REGULAR_COUNTS[degree, n]
 
 
 def test_degenerate_arguments():
@@ -76,3 +100,8 @@ def test_degenerate_arguments():
         list(generate_connected(11))
     with pytest.raises(ValueError):
         list(generate_connected(3, max_degree=-1))
+    with pytest.raises(ValueError):
+        list(generate_connected(3, min_degree=-1))
+    assert list(generate_connected(1, min_degree=1)) == []
+    assert list(generate_connected(4, min_degree=4)) == []
+    assert len(list(generate_connected(4, min_degree=3))) == 1

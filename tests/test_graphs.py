@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamclass.generate import generate_connected
 from hamclass.graphs import (
     Graph,
     Graph6Error,
@@ -158,6 +159,16 @@ def test_connectivity_against_brute_force():
         g = random_graph(rng, n, rng.random())
         want = brute_connectivity(g)
         assert vertex_connectivity(g) == want
+        for t in range(n + 1):
+            assert vertex_connectivity(g, at_most=t) == min(want, t)
+    for n in range(2, 8):
+        for g in generate_connected(n):
+            want = brute_connectivity(g)
+            assert vertex_connectivity(g) == want
+            for t in range(n + 1):
+                assert vertex_connectivity(g, at_most=t) == min(want, t)
+    with pytest.raises(ValueError):
+        vertex_connectivity(petersen(), at_most=-1)
 
 
 def test_connectivity_monotone_under_edge_addition():

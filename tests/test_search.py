@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+import hamclass.search as search
 from hamclass.generate import generate_connected
 from hamclass.graphs import (
     Graph,
@@ -70,6 +71,17 @@ def test_scan_threshold_prunes_whole_order():
     assert report.members_found == ()
 
 
+def test_scan_gen_window_falls_back_to_ceilings():
+    # empty window (floor 3 above ceiling 2): ceiling-only generation, as
+    # before the floor was pushed, so P5 and C5 reach the min_degree rule
+    report = scan(ScanSpec(5, G1))
+    assert report.total_examined == report.pruned_per_rule["min_degree"] == 2
+    # the order threshold claims the whole order, so no floor may thin it
+    rules = frozenset({"order_threshold", "min_degree"})
+    report = scan(ScanSpec(7, ClassParams(2, ClassKind.GAMMA), prune_rules=rules))
+    assert report.pruned_per_rule == {"order_threshold": 853, "min_degree": 0}
+
+
 def test_scan_stream_attribution():
     lines = [
         write_graph6(petersen()),
@@ -112,6 +124,18 @@ def test_scan_deterministic_and_parallel_agree():
     c = scan(spec, workers=2)
     strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
     assert strip(a) == strip(b) == strip(c)
+
+
+def test_scan_one_chunk_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk scan started a process pool")
+
+    spec = ScanSpec(10, G1, prune_rules=frozenset(RULE_ORDER))
+    serial = scan(spec)
+    assert serial.total_examined <= 256
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
+    assert strip(scan(spec, workers=2)) == strip(serial)
 
 
 def test_prune_soundness_small():
