@@ -18,6 +18,7 @@ bug rather than a soft failure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,21 +186,12 @@ def build_config(
         mm.append((idx[0], idx[-1]))
 
     ordered = spine.vertices
-    L = len(ordered)
     pos = {v: i for i, v in enumerate(ordered)}
-    segments: list[tuple[int, ...]] = []
     if kind is ClassKind.GAMMA:
-        for j in range(s):
-            seg = []
-            p = (pos[attach[j]] + 1) % L
-            stop = pos[attach[(j + 1) % s]]
-            while p != stop:
-                seg.append(ordered[p])
-                p = (p + 1) % L
-            segments.append(tuple(seg))
+        segments = [_arc(ordered, pos[attach[j]], pos[attach[(j + 1) % s]]) for j in range(s)]
     else:
         cuts = [pos[v] for v in attach]
-        segments.append(ordered[: cuts[0]])
+        segments = [ordered[: cuts[0]]]
         for j in range(1, s):
             segments.append(ordered[cuts[j - 1] + 1 : cuts[j]])
         segments.append(ordered[cuts[-1] + 1 :])
@@ -208,6 +200,13 @@ def build_config(
         g, PathWitness(pverts), spine, attach, eps, d_pprime,
         tuple(segments), r, tuple(mm),
     )
+
+
+def _arc(cycle: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The vertices strictly between positions i and j, forward around
+    cycle (all but position i when i == j)."""
+    L = len(cycle)
+    return tuple(cycle[(i + 1 + t) % L] for t in range((j - i - 1) % L))
 
 
 def _path_segment(path: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -241,6 +240,25 @@ def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | None:
     return w
 
 
+def _longer_than_spine(
+    cfg: AttachmentConfig,
+    raw: list[tuple[int, ...]],
+    witness: type[CycleWitness] | type[PathWitness],
+) -> list:
+    """The raw exchange walks and the insertion walk, each validated as a
+    `witness`, that are strictly longer than the spine."""
+    ins = _first_insertion(cfg)
+    if ins is not None:
+        raw.append(ins)
+    out = []
+    for verts in raw:
+        wit = witness(verts)
+        check_witness(cfg.graph, wit)
+        if wit.order > len(cfg.spine.vertices):
+            out.append(wit)
+    return out
+
+
 def gamma_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[CycleWitness]:
     """Exchange cycles for one gap of a cycle spine, already validated
     and filtered to those strictly longer than the spine.
@@ -254,9 +272,7 @@ def gamma_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[Cycl
     s = len(cfg.attach_points)
     if not 0 <= index < s:
         raise ValueError(f"segment index {index} outside 0..{s - 1}")
-    g = cfg.graph
     spine = cfg.spine.vertices
-    L = len(spine)
     pos = {v: i for i, v in enumerate(spine)}
     P = cfg.path_p.vertices
     nxt = (index + 1) % s
@@ -264,34 +280,17 @@ def gamma_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[Cycl
     ma, Ma = cfg.min_max_indices[index]
     mb, Mb = cfg.min_max_indices[nxt]
 
-    def arc(from_pos: int, to_pos: int) -> tuple[int, ...]:
-        seq = []
-        p = (from_pos + 1) % L
-        while p != to_pos:
-            seq.append(spine[p])
-            p = (p + 1) % L
-        return tuple(seq)
-
     raw: list[tuple[int, ...]] = []
     if a != b:
-        outer = arc(pos[b], pos[a])
+        outer = _arc(spine, pos[b], pos[a])
         raw.append((a,) + _path_segment(P, ma, Mb) + (b,) + outer)
         raw.append((b,) + _path_segment(P, mb, Ma) + (a,) + tuple(reversed(outer)))
-    hits = [v for v in cfg.segments[index] if g.adj[cfg.u1] >> v & 1]
+    hits = [v for v in cfg.segments[index] if cfg.graph.adj[cfg.u1] >> v & 1]
     if hits:
         w, wlast = hits[0], hits[-1]
-        raw.append((a,) + _path_segment(P, Ma, 1) + (w,) + arc(pos[w], pos[a]))
-        raw.append(_path_segment(P, 1, Mb) + (b,) + arc(pos[b], pos[wlast]) + (wlast,))
-    ins = _first_insertion(cfg)
-    if ins is not None:
-        raw.append(ins)
-    out = []
-    for verts in raw:
-        wit = CycleWitness(verts)
-        check_witness(g, wit)
-        if wit.order > L:
-            out.append(wit)
-    return out
+        raw.append((a,) + _path_segment(P, Ma, 1) + (w,) + _arc(spine, pos[w], pos[a]))
+        raw.append(_path_segment(P, 1, Mb) + (b,) + _arc(spine, pos[b], pos[wlast]) + (wlast,))
+    return _longer_than_spine(cfg, raw, CycleWitness)
 
 
 def pi_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[PathWitness]:
@@ -302,12 +301,10 @@ def pi_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[PathWit
     s = len(cfg.attach_points)
     if not 0 <= index <= s:
         raise ValueError(f"segment index {index} outside 0..{s}")
-    g = cfg.graph
     spine = cfg.spine.vertices
-    L = len(spine)
     pos = {v: i for i, v in enumerate(spine)}
     P = cfg.path_p.vertices
-    hits = [v for v in cfg.segments[index] if g.adj[cfg.u1] >> v & 1]
+    hits = [v for v in cfg.segments[index] if cfg.graph.adj[cfg.u1] >> v & 1]
     raw: list[tuple[int, ...]] = []
     if index == 0:
         b = cfg.attach_points[0]
@@ -338,16 +335,7 @@ def pi_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[PathWit
         if hits:
             raw.append(prefix + tuple(reversed(P[:Ma])) + spine[pos[hits[0]] :])
             raw.append(spine[: pos[hits[-1]] + 1] + P[:Mb] + suffix)
-    ins = _first_insertion(cfg)
-    if ins is not None:
-        raw.append(ins)
-    out = []
-    for verts in raw:
-        wit = PathWitness(verts)
-        check_witness(g, wit)
-        if wit.order > L:
-            out.append(wit)
-    return out
+    return _longer_than_spine(cfg, raw, PathWitness)
 
 
 def _chain_fields(cfg: AttachmentConfig) -> tuple[int, int, bool]:
@@ -365,71 +353,66 @@ def _chain_fields(cfg: AttachmentConfig) -> tuple[int, int, bool]:
     return measured, lower, holds
 
 
-def verify_gamma_claim(cfg: AttachmentConfig) -> ClaimReport:
-    """Check every cyclic gap inequality; on violation return the best
-    exchange cycle, which must beat the spine or something is broken."""
-    if cfg.kind is not ClassKind.GAMMA:
-        raise ValueError("gamma claims need a cycle spine")
+def _verify_claims(
+    cfg: AttachmentConfig,
+    count: int,
+    numerator: Callable[[int], int],
+    candidates: Callable[[AttachmentConfig, int], list],
+    what: str,
+) -> ClaimReport:
+    """Check segment j < count against numerator(j)/2 + 2 r_j; on a
+    violation take the best exchange walk from candidates(cfg, j), which
+    must beat the spine or something is broken."""
     measured, lower, holds = _chain_fields(cfg)
     if cfg.k == 1:
         return ClaimReport((), measured, lower, holds, None)
-    s = len(cfg.attach_points)
     records = []
-    improvement: CycleWitness | None = None
-    for j in range(s):
-        jn = (j + 1) % s
-        bound = Fraction(
-            cfg.d_pprime[j] + cfg.d_pprime[jn] + cfg.eps[j] + cfg.eps[jn], 2
-        ) + 2 * cfg.r[j]
+    improvement = None
+    for j in range(count):
+        bound = Fraction(numerator(j), 2) + 2 * cfg.r[j]
         size = len(cfg.segments[j])
         ok = size >= bound
         records.append(ClaimIndexRecord(j, size, bound, ok))
         if not ok:
-            cands = gamma_improvement_candidates(cfg, j)
+            cands = candidates(cfg, j)
             if not cands:
                 raise RuntimeError(
-                    f"gap {j} is below its bound yet no exchange beat the spine"
+                    f"{what} {j} is below its bound yet no exchange beat the spine"
                 )
             best = max(cands, key=lambda w: w.order)
             if improvement is None or best.order > improvement.order:
                 improvement = best
     return ClaimReport(tuple(records), measured, lower, holds, improvement)
+
+
+def verify_gamma_claim(cfg: AttachmentConfig) -> ClaimReport:
+    """Check every cyclic gap inequality; on violation return the best
+    exchange cycle, which must beat the spine or something is broken."""
+    if cfg.kind is not ClassKind.GAMMA:
+        raise ValueError("gamma claims need a cycle spine")
+    s = len(cfg.attach_points)
+    d, eps = cfg.d_pprime, cfg.eps
+    return _verify_claims(
+        cfg, s, lambda j: d[j] + d[(j + 1) % s] + eps[j] + eps[(j + 1) % s],
+        gamma_improvement_candidates, "gap",
+    )
 
 
 def verify_pi_claims(cfg: AttachmentConfig) -> ClaimReport:
     """Check the two end-segment inequalities and the interior ones."""
     if cfg.kind is not ClassKind.PI:
         raise ValueError("pi claims need a path spine")
-    measured, lower, holds = _chain_fields(cfg)
-    if cfg.k == 1:
-        return ClaimReport((), measured, lower, holds, None)
     s = len(cfg.attach_points)
-    k = cfg.k
-    records = []
-    improvement: PathWitness | None = None
-    for j in range(s + 1):
+    d, eps, k = cfg.d_pprime, cfg.eps, cfg.k
+
+    def numerator(j: int) -> int:
         if j == 0:
-            num = cfg.d_pprime[0] + k + cfg.eps[0]
-        elif j == s:
-            num = cfg.d_pprime[s - 1] + k + cfg.eps[s - 1]
-        else:
-            num = (
-                cfg.d_pprime[j - 1] + cfg.d_pprime[j] + cfg.eps[j - 1] + cfg.eps[j]
-            )
-        bound = Fraction(num, 2) + 2 * cfg.r[j]
-        size = len(cfg.segments[j])
-        ok = size >= bound
-        records.append(ClaimIndexRecord(j, size, bound, ok))
-        if not ok:
-            cands = pi_improvement_candidates(cfg, j)
-            if not cands:
-                raise RuntimeError(
-                    f"segment {j} is below its bound yet no exchange beat the spine"
-                )
-            best = max(cands, key=lambda w: w.order)
-            if improvement is None or best.order > improvement.order:
-                improvement = best
-    return ClaimReport(tuple(records), measured, lower, holds, improvement)
+            return d[0] + k + eps[0]
+        if j == s:
+            return d[s - 1] + k + eps[s - 1]
+        return d[j - 1] + d[j] + eps[j - 1] + eps[j]
+
+    return _verify_claims(cfg, s + 1, numerator, pi_improvement_candidates, "segment")
 
 
 def degree_chain_audit(cfg: AttachmentConfig) -> ClaimReport:

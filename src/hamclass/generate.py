@@ -1,20 +1,25 @@
 """Isomorph-free generation of small connected graphs.
 
-Orderly augmentation: a graph on m+1 vertices is produced from its
-deletion parent, the graph left after removing one vertex of the
-canonical orbit. Growing every connected parent by every attachment
-subset and keeping a child only when its newest vertex lands in that
-orbit yields each isomorphism class exactly once. Two accepted children
-of one parent can still coincide (the parent's own symmetries), so a
-per-parent set of canonical forms removes those; children of distinct
-parents never collide because the deletion parent is determined up to
-isomorphism.
+Depth-first orderly augmentation: a graph on m+1 vertices is produced
+from its deletion parent, the graph left after removing one vertex of
+the canonical orbit. Growing every connected parent by every attachment
+subset, keeping a child only when its newest vertex v lands in that
+orbit, and growing each kept child before its next sibling yields each
+isomorphism class exactly once while holding one path of the tree.
+
+Two kept children of one parent can still coincide (the parent's own
+symmetries); a per-parent set of marked codes of v removes those. An
+isomorphism between two kept siblings carries v into the other child's
+canonical orbit, which holds its v too, so composing with an
+automorphism gives one that fixes v: the marked codes agree. Children
+of distinct parents never collide because the deletion parent is
+determined up to isomorphism.
 
 The canonical orbit is the set of non-cutvertices minimizing
 (degree, refined cell position, marked canonical code); the first two
-components are cheap and settle almost every candidate before the code
-is needed. Non-cutvertices keep parents connected, and every connected
-graph has at least two of them, so no class is orphaned.
+components are cheap and settle most candidates. Non-cutvertices keep
+parents connected, and every connected graph has at least two of them,
+so no class is orphaned.
 
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
@@ -32,13 +37,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
+# canonical_form is not called here; it stays bound because
+# perfbench/tracer.py wraps it in this module
 from .canon import canonical_form, marked_code, refine
 from .graphs import MAX_ORDER, Graph, closure_mask, trusted_graph
 
 GENERATION_CAP = 10
 
 
-def _newest_is_canonical(child: Graph) -> bool:
+def _canonical_code(child: Graph) -> tuple[int, ...] | None:
+    """Marked code of the newest vertex when it lies in the canonical
+    orbit, else None."""
     adj = child.adj
     v = child.n - 1
     dv = adj[v].bit_count()
@@ -55,21 +64,16 @@ def _newest_is_canonical(child: Graph) -> bool:
         if closure_mask(adj, rem, rem & -rem) != rem:
             continue
         if du < dv:
-            return False
+            return None
         ties.append(u)
-    if not ties:
-        return True
-    ties.append(v)
-    cells = refine(adj, [tuple(range(child.n))])
-    pos = {u: i for i, cell in enumerate(cells) for u in cell}
-    low = min(pos[u] for u in ties)
-    if pos[v] > low:
-        return False
-    ties = [u for u in ties if pos[u] == low]
-    if ties == [v]:
-        return True
-    code_v = marked_code(child, v)
-    return all(code_v <= marked_code(child, u) for u in ties if u != v)
+    if ties:
+        cells = refine(adj, [tuple(range(child.n))])
+        pos = {u: i for i, cell in enumerate(cells) for u in cell}
+        if any(pos[u] < pos[v] for u in ties):
+            return None
+        ties = [u for u in ties if pos[u] == pos[v]]
+    code = marked_code(child, v)
+    return code if all(code <= marked_code(child, u) for u in ties) else None
 
 
 def _children(parent: Graph, max_degree: int | None, floor: int) -> Iterator[Graph]:
@@ -107,6 +111,20 @@ def _children(parent: Graph, max_degree: int | None, floor: int) -> Iterator[Gra
             return
 
 
+def _grow(graph: Graph, n: int, max_degree: int | None, min_degree: int) -> Iterator[Graph]:
+    """graph itself at order n, else the graphs of order n in the window
+    that descend from it."""
+    if graph.n == n:
+        yield graph
+        return
+    seen: set[tuple[int, ...]] = set()
+    for child in _children(graph, max_degree, min_degree - (n - graph.n - 1)):
+        code = _canonical_code(child)
+        if code is not None and code not in seen:
+            seen.add(code)
+            yield from _grow(child, n, max_degree, min_degree)
+
+
 def generate_connected(
     n: int, *, max_degree: int | None = None, min_degree: int = 0
 ) -> Iterator[Graph]:
@@ -121,28 +139,6 @@ def generate_connected(
         raise ValueError("negative degree ceiling")
     if min_degree < 0:
         raise ValueError("negative degree floor")
-    level: list[Graph] = [Graph(1, (0,))]
-    if n == 1:
-        if min_degree == 0:
-            yield from level
-        return
-    if max_degree == 0:
-        return
-    for m in range(1, n):
-        grown: list[Graph] = []
-        last = m + 1 == n
-        floor = min_degree - (n - m - 1)
-        for parent in level:
-            seen: set[tuple[int, ...]] = set()
-            for child in _children(parent, max_degree, floor):
-                if not _newest_is_canonical(child):
-                    continue
-                form = canonical_form(child)
-                if form in seen:
-                    continue
-                seen.add(form)
-                if last:
-                    yield child
-                else:
-                    grown.append(child)
-        level = grown
+    # _children applies the window to every graph but the one-vertex root
+    if n > 1 or min_degree == 0:
+        yield from _grow(Graph(1, (0,)), n, max_degree, min_degree)

@@ -241,9 +241,7 @@ def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iter
         for rule, cap in ceilings:
             if prof.max_degree > cap:
                 yield rule
-    if "connectivity" in rules and (
-        n == 1 or vertex_connectivity(g, at_most=floor_needed) < floor_needed
-    ):
+    if "connectivity" in rules and not connectivity_requirement(g, params):
         yield "connectivity"
 
 

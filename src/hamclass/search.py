@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected
@@ -338,6 +339,25 @@ def _decide_chunk(
     return counts, decided, members
 
 
+def _chunk_reports(
+    pool: Executor | None, depth: int, chunks: Iterable[list[Graph]], *args: object
+) -> Iterator[tuple[dict[str, int], int, list[str]]]:
+    """`_decide_chunk(chunk, *args)` for each chunk, in order: in this
+    process without a pool, else with at most `depth` chunks in flight.
+    (`Executor.map` would submit every chunk, reading a whole stream,
+    before it yields the first result.)"""
+    pending: deque = deque()
+    for chunk in chunks:
+        if pool is None:
+            yield _decide_chunk(chunk, *args)
+            continue
+        pending.append(pool.submit(_decide_chunk, chunk, *args))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, workers: int = 1) -> EmptinessReport:
     """Examine every graph of order spec.n from the chosen source.
 
@@ -345,8 +365,9 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     into the generator: graphs outside it are never materialized, so they
     appear in no count. Graphs are decided in chunks of 256, in this
     process for one worker or a single chunk and in a process pool
-    otherwise; chunk reports merge commutatively and members_found is
-    sorted, making the report independent of completion order.
+    otherwise, with at most two chunks per worker in flight; chunk reports
+    merge commutatively and members_found is sorted, making the report
+    independent of completion order.
     """
     start = time.perf_counter()
     reader = None
@@ -371,8 +392,8 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     chunks = chain(head, chunks)
     parallel = workers > 1 and len(head) > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for block_counts, block_decided, block_members in (map if pool is None else pool.map)(
-            _decide_chunk, chunks, repeat(spec.params), repeat(spec.prune_rules)
+        for block_counts, block_decided, block_members in _chunk_reports(
+            pool, 2 * workers, chunks, spec.params, spec.prune_rules
         ):
             for rule, c in block_counts.items():
                 pruned[rule] += c

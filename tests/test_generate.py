@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb, factorial
 
@@ -5,7 +6,7 @@ import pytest
 
 from hamclass.canon import canonical_form
 from hamclass.generate import generate_connected
-from hamclass.graphs import Graph, degree_profile, is_connected
+from hamclass.graphs import Graph, degree_profile, is_connected, write_graph6
 from util import automorphism_count, min_perm_code
 
 # connected graph counts by order, long since settled
@@ -76,6 +77,28 @@ def test_degree_ceiling(corpus):
     # connected graphs with all degrees at most 2 are paths and cycles
     assert sum(1 for _ in generate_connected(7, max_degree=2)) == 2
 
+
+
+# (n, min_degree, max_degree) -> (count, sha256 of the sorted graph6 lines):
+# pins which representative each class gets, not only how many there are
+PINNED_REPRESENTATIVES = {
+    (7, 0, None): (853, "31577469daebbef6c9c208fed2cf939ec3a06cc21b96eb74794efc8d3851d321"),
+    (8, 0, None): (11117, "8a41de1c403e29b117b93892cfa2f50749bc9cbb18a9897ee75adf8b696853d3"),
+    (9, 3, 4): (631, "ba374d709a056992ba793ef09721f7f098c5b81cc93a973a26b63b0799a92cc3"),
+    (10, 3, 3): (19, "8eadba533508c5860c2a4c1990c304132cc141d5a1c6c0b94d1c9bfc2a06f22e"),
+}
+
+
+@pytest.mark.parametrize("n, lo, hi", list(PINNED_REPRESENTATIVES))
+def test_pinned_representatives(corpus, n, lo, hi):
+    if (lo, hi) == (0, None):
+        graphs = corpus[n]
+    else:
+        graphs = generate_connected(n, max_degree=hi, min_degree=lo)
+    lines = sorted(write_graph6(g) for g in graphs)
+    count, digest = PINNED_REPRESENTATIVES[n, lo, hi]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 # connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)
 REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}

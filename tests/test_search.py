@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+from concurrent.futures import Executor, Future
 
 import pytest
 
@@ -137,6 +138,41 @@ def test_scan_one_chunk_starts_no_pool(monkeypatch):
     strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
     assert strip(scan(spec, workers=2)) == strip(serial)
 
+
+
+def test_parallel_scan_reads_stream_boundedly(monkeypatch):
+    # Executor.map submits every chunk before it yields a result, which
+    # would read the whole stream first; at most 2 x workers may be in flight
+    workers, chunks = 2, 12
+    read = 0
+    taken = []
+
+    def stream():
+        nonlocal read
+        for _ in range(chunks * 256):
+            read += 1
+            yield write_graph6(cycle_graph(5))
+
+    class RecordingFuture(Future):
+        def result(self, timeout=None):
+            taken.append(read)
+            return super().result(timeout)
+
+    class InlineExecutor(Executor):
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, /, *args, **kwargs):
+            future = RecordingFuture()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    report = scan(ScanSpec(5, G1, source="stream"), stream(), workers=workers)
+    assert report.total_examined == chunks * 256
+    assert report.pruned_per_rule["min_degree"] == chunks * 256
+    assert len(taken) == chunks
+    assert taken[0] <= (2 * workers + 1) * 256
 
 def test_prune_soundness_small():
     for params in (G1, P1):
