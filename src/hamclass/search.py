@@ -184,9 +184,12 @@ def verify_certificate(cert: Certificate) -> bool:
     Walk witnesses are validated structurally. The one exact search a
     member certificate still needs is the longest-walk length: valid
     per-deletion walks alone cannot rule out a longer walk in the full
-    graph (complete graphs would certify as members otherwise). Refuting
-    deletion sets are re-searched, and a claimed length shorter than the
-    target is re-derived, since no walk can witness an upper bound.
+    graph (complete graphs would certify as members otherwise). At k = 1
+    that search is a Hamilton-cycle or Hamilton-path search, since the
+    longest-walk solvers hand the question to the spanning solvers once
+    they hold a walk of n - 1 vertices. Refuting deletion sets are
+    re-searched, and a claimed length shorter than the target is
+    re-derived, since no walk can witness an upper bound.
     """
     try:
         g = parse_graph6(cert.graph6)

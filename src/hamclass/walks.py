@@ -5,6 +5,29 @@ ascending label order and incumbents are replaced only by strictly longer
 walks, so a fixed graph always yields the same witness. The intended scale
 is the exhaustive small-order searches used by the class deciders; nothing
 here is meant for graphs much beyond 20 vertices.
+
+`circumference` and `detour_order` search by branch and bound, pruning
+only by reach, until the incumbent has n - 1 vertices and the one vertex
+left has been tried as its next step (a seed cycle of n - 1 vertices is
+handed over at once). If no spanning walk came of that, the spanning
+question goes to `hamilton_cycle` / `hamilton_path`, which prune harder
+(forced degree-2 edges, vertices short of free neighbours).
+The handoff cannot change a witness:
+
+- pruning in the branch and bound only discards branches that cannot beat
+  the incumbent, and it visits walks in lexicographic order (paths over
+  ascending start vertices), so the first spanning walk it would reach is
+  the lexicographically first Hamilton sequence from vertex 0 (for paths,
+  from any start);
+- a spanning walk that sorts before the first incumbent of n - 1 vertices
+  would have been visited before it, so when the step after that
+  incumbent completes a spanning walk, this walk is the first;
+- the Hamilton solvers search in the same ascending order, and their
+  extra pruning only discards branches with no spanning completion, so
+  they return that same sequence;
+- when no spanning walk exists, the incumbent is the one the branch and
+  bound would have kept, since it replaces an incumbent only with a
+  strictly longer walk.
 """
 
 from __future__ import annotations
@@ -111,15 +134,18 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             return None
         if not adj[0] & unused:
             return None
+        # an unused vertex with fewer than two neighbours among the unused
+        # vertices and 0 must come next, since later it would need two; the
+        # test is the same for every candidate w, so it runs once per node
+        weak = 0
+        for x in bits(unused):
+            if (adj[x] & (unused | 1)).bit_count() < 2:
+                weak |= 1 << x
+        if weak:
+            if weak.bit_count() > 1:
+                return None
+            cands &= weak
         for w in bits(cands):
-            avail_ok = True
-            rest = unused & ~(1 << w)
-            for x in bits(rest):
-                if (adj[x] & (rest | (1 << w) | 1)).bit_count() < 2:
-                    avail_ok = False
-                    break
-            if not avail_ok:
-                continue
             path.append(w)
             got = extend(w, used | (1 << w))
             if got is not None:
@@ -224,7 +250,11 @@ def _seed_cycle(g: Graph) -> CycleWitness | None:
 
 
 def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
-    """Exact circumference with a witness; (0, None) for acyclic graphs."""
+    """Exact circumference with a witness; (0, None) for acyclic graphs.
+
+    Branch and bound climbs to a cycle of n - 1 vertices; unless the step
+    after it closes a Hamilton cycle, `hamilton_cycle` answers the rest.
+    """
     n = g.n
     adj = g.adj
     seed = _seed_cycle(g)
@@ -237,7 +267,9 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
     full = g.vertex_mask
     path: list[int] = []
 
-    def grow(a: int, u: int, used: int, allowed: int) -> None:
+    def grow(a: int, u: int, used: int, allowed: int) -> bool:
+        """Search below `path`; True once the incumbent has n - 1 vertices
+        and the step after it has been tried."""
         nonlocal best, best_cyc
         plen = len(path)
         if plen >= 3 and adj[u] >> a & 1 and plen > best:
@@ -245,31 +277,38 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
             best_cyc = tuple(path)
         avail = allowed & ~used
         cands = adj[u] & avail
-        if not cands:
-            return
-        reach = closure_mask(adj, avail, cands)
-        if plen + reach.bit_count() <= best:
-            return
-        if not adj[a] & reach:
-            return
-        for w in bits(cands):
-            path.append(w)
-            grow(a, w, used | (1 << w), allowed)
-            path.pop()
+        if cands:
+            reach = closure_mask(adj, avail, cands)
+            if plen + reach.bit_count() > best and adj[a] & reach:
+                for w in bits(cands):
+                    path.append(w)
+                    if grow(a, w, used | (1 << w), allowed):
+                        return True
+                    path.pop()
+        return best >= n - 1
 
     for a in range(n):
-        if n - a <= best:
+        if best >= n - 1 or n - a <= best:
             break
         allowed = full & ~((1 << a) - 1)
         path[:] = [a]
-        grow(a, a, 1 << a, allowed)
-        if best == n:
+        if grow(a, a, 1 << a, allowed):
             break
+    # every Hamilton cycle passes through vertex 0, so an incumbent of n - 1
+    # reached after the search rooted at 0 is already final
+    if best == n - 1 and a == 0:
+        ham = hamilton_cycle(g)
+        if ham is not None:
+            return n, ham
     return best, CycleWitness(best_cyc)
 
 
 def detour_order(g: Graph) -> tuple[int, PathWitness]:
-    """Exact longest-path order with a witness (order 1 for edgeless graphs)."""
+    """Exact longest-path order with a witness (order 1 for edgeless graphs).
+
+    Branch and bound climbs to a path of n - 1 vertices; unless the step
+    after it completes a Hamilton path, `hamilton_path` answers the rest.
+    """
     n = g.n
     adj = g.adj
     best = 1
@@ -277,33 +316,32 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
     full = g.vertex_mask
     path: list[int] = []
 
-    def grow(u: int, used: int) -> None:
+    def grow(u: int, used: int) -> bool:
+        """Search below `path`; True once the incumbent has n - 1 vertices
+        and the step after it has been tried."""
         nonlocal best, best_path
         plen = len(path)
         if plen > best:
             best = plen
             best_path = tuple(path)
-        if best == n:
-            return
         avail = full & ~used
         cands = adj[u] & avail
-        if not cands:
-            return
-        reach = closure_mask(adj, avail, cands)
-        if plen + reach.bit_count() <= best:
-            return
-        for w in bits(cands):
-            path.append(w)
-            grow(w, used | (1 << w))
-            path.pop()
-            if best == n:
-                return
+        if cands and plen + closure_mask(adj, avail, cands).bit_count() > best:
+            for w in bits(cands):
+                path.append(w)
+                if grow(w, used | (1 << w)):
+                    return True
+                path.pop()
+        return best >= n - 1
 
     for s in range(n):
-        if best == n:
-            break
         path[:] = [s]
-        grow(s, 1 << s)
+        if grow(s, 1 << s):
+            break
+    if best == n - 1:
+        ham = hamilton_path(g)
+        if ham is not None:
+            return n, ham
     return best, PathWitness(best_path)
 
 

@@ -180,6 +180,8 @@ def test_oracle_circumference(monkeypatch, capsys):
     assert code == 0
     first, second = (json.loads(line) for line in out.splitlines())
     assert first["value"] == 9 and len(first["witness"]) == 9
+    # the witness README prints for this record
+    assert first["witness"] == [3, 7, 0, 9, 4, 2, 6, 1, 5]
     assert second["value"] == 0 and second["witness"] is None
 
 

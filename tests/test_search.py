@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 from concurrent.futures import Executor, Future
@@ -27,6 +28,7 @@ from hamclass.search import (
     scan,
     verify_certificate,
 )
+from util import generalized_petersen
 
 G1 = ClassParams(1, ClassKind.GAMMA)
 P1 = ClassParams(1, ClassKind.PI)
@@ -261,6 +263,26 @@ def test_certificate_roundtrip_corpus():
             assert verify_certificate(full)
             bare = certify(g, params, include_walks=False)
             assert verify_certificate(bare)
+
+
+# GP(5,2) and GP(11,2) are hypohamiltonian (Bondy 1972: GP(6t+5, 2)),
+# GP(7,2), GP(9,2) and GP(13,2) Hamiltonian, and GP(11,2) minus the edge
+# {0,1} refutes by a bad deletion set: members, wrong_length and
+# bad_deletion_set certificates up to order 26, pinned by the sha256 of
+# their JSON lines in this order
+PINNED_GP_GRAPHS = ((5, ()), (7, ()), (9, ()), (11, ()), (11, ((0, 1),)), (13, ()))
+PINNED_GP_DIGEST = "f517a4a757ff5be170cc3b95b6dd3f38d7cb8d78e885e71bad1635406083d948"
+
+
+def test_pinned_generalized_petersen_certificates():
+    lines = []
+    for m, drop in PINNED_GP_GRAPHS:
+        g = generalized_petersen(m, 2, drop)
+        for params in (G1, ClassParams(2, ClassKind.GAMMA), P1):
+            cert = certify(g, params)
+            assert verify_certificate(cert)
+            lines.append(cert.to_json())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_GP_DIGEST
 
 
 def test_fabricated_member_certificate_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hamclass.graphs import (
     induced_subgraph,
     path_graph,
     petersen,
+    write_graph6,
 )
 from hamclass.walks import (
     CycleWitness,
@@ -141,6 +143,32 @@ def test_detour_matches_brute_force():
         assert n == brute_longest_path(g)
         check_witness(g, w)
         assert w.order == n
+
+
+# n -> (count, sha256 of one line per connected graph of order n, sorted by
+# graph6): the witness of every solver, pinned so that a faster search must
+# return the very walks the branch and bound returned before it
+PINNED_WITNESSES = {
+    6: (112, "661bec073f2edec09ea7ad054ab1d88a6ee4b2fdba71cd76ee28a30a96a96374"),
+    7: (853, "6d8ec793a0bad31665d890dec100adec7ac0bfa1bb4cbff982da4146b7b94177"),
+}
+
+
+def _vertices(w):
+    return None if w is None else w.vertices
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_WITNESSES))
+def test_pinned_witnesses(corpus, n):
+    lines = []
+    for g in sorted(corpus[n], key=write_graph6):
+        c, cw = circumference(g)
+        d, dw = detour_order(g)
+        fields = (c, _vertices(cw), d, dw.vertices, _vertices(hamilton_cycle(g)), _vertices(hamilton_path(g)))
+        lines.append(" ".join([write_graph6(g), *map(repr, fields)]))
+    count, digest = PINNED_WITNESSES[n]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_longest_induced_path_fixtures():

@@ -141,6 +141,16 @@ def brute_longest_induced_path_from(g: Graph, v: int) -> int:
     return best
 
 
+def generalized_petersen(m: int, s: int, drop: Iterable[tuple[int, int]] = ()) -> Graph:
+    """GP(m, s): outer vertex i, inner vertex m+i, minus the edges in `drop`."""
+    edges = set()
+    for i in range(m):
+        for u, v in ((i, (i + 1) % m), (i, m + i), (m + i, m + (i + s) % m)):
+            edges.add((min(u, v), max(u, v)))
+    edges -= {(min(u, v), max(u, v)) for u, v in drop}
+    return Graph.from_edges(2 * m, edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
