@@ -40,22 +40,19 @@ from .graphs import (
     write_graph6,
 )
 from .membership import (
-    BoundReport,
     ClassKind,
     ClassParams,
     MembershipVerdict,
-    bound_pipeline,
     check_induced_path_property,
     connectivity_requirement,
     emptiness_threshold,
-    gamma_membership,
     is_hypohamiltonian,
     is_hypotraceable,
     membership,
     parameter_emptiness,
-    pi_membership,
     required_connectivity,
     theorem_max_degree,
+    violated_rules,
 )
 from .search import (
     Certificate,
@@ -80,7 +77,6 @@ from .walks import (
 
 __all__ = [
     "AttachmentConfig",
-    "BoundReport",
     "Certificate",
     "CertificateError",
     "ClaimIndexRecord",
@@ -98,7 +94,6 @@ __all__ = [
     "ScanSpec",
     "WitnessError",
     "are_isomorphic",
-    "bound_pipeline",
     "build_config",
     "canonical_form",
     "canonical_graph6",
@@ -115,7 +110,6 @@ __all__ = [
     "degree_profile",
     "detour_order",
     "emptiness_threshold",
-    "gamma_membership",
     "generate_connected",
     "hamilton_cycle",
     "hamilton_path",
@@ -129,7 +123,6 @@ __all__ = [
     "parse_graph6",
     "path_graph",
     "petersen",
-    "pi_membership",
     "required_connectivity",
     "scan",
     "theorem_max_degree",
@@ -137,6 +130,7 @@ __all__ = [
     "verify_gamma_claim",
     "verify_pi_claims",
     "vertex_connectivity",
+    "violated_rules",
     "write_graph6",
 ]
 

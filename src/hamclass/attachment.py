@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, bits, induced_subgraph, mask_of
+from .graphs import Graph, induced_subgraph, mask_of
 from .membership import ClassKind
 from .walks import (
     CycleWitness,
@@ -30,6 +30,7 @@ from .walks import (
     check_witness,
     hamilton_cycle,
     hamilton_path,
+    longest_induced_path_from,
 )
 
 
@@ -97,24 +98,6 @@ class ClaimReport:
     improvement: CycleWitness | PathWitness | None
 
 
-def _induced_path_exact(g: Graph, start: int, k: int) -> tuple[int, ...] | None:
-    """Lexicographically first induced path of exactly k vertices."""
-    adj = g.adj
-    path = [start]
-
-    def grow(last: int, blocked: int) -> bool:
-        if len(path) == k:
-            return True
-        for w in bits(adj[last] & ~blocked):
-            path.append(w)
-            if grow(w, blocked | adj[last] | (1 << w)):
-                return True
-            path.pop()
-        return False
-
-    return tuple(path) if grow(start, 1 << start) else None
-
-
 def _canonical_cycle(verts: tuple[int, ...]) -> tuple[int, ...]:
     at = verts.index(min(verts))
     fwd = verts[at:] + verts[:at]
@@ -143,8 +126,8 @@ def build_config(
         u1 = next(v for v in range(n) if g.degree(v) == dmax)
     elif not 0 <= u1 < n:
         raise ValueError(f"vertex {u1} outside graph")
-    pverts = _induced_path_exact(g, u1, k)
-    if pverts is None:
+    pverts = longest_induced_path_from(g, u1, stop_at=k).vertices
+    if len(pverts) < k:
         raise ConfigError(f"no induced path of order {k} from vertex {u1}")
     rest = [v for v in range(n) if v not in set(pverts)]
     if not rest:

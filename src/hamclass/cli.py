@@ -42,12 +42,8 @@ EXIT_USAGE = 2
 ORACLE_OPS = ("circumference", "detour", "hamcycle", "hampath", "connectivity")
 
 
-def _kind(name: str) -> ClassKind:
-    return ClassKind.GAMMA if name == "gamma" else ClassKind.PI
-
-
 def _open_input(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path, encoding="ascii")
+    return sys.stdin if path == "-" else open(path, encoding="ascii", errors="surrogateescape")
 
 
 def _exit_status(member: bool, skipped: int) -> int:
@@ -87,7 +83,7 @@ def _workers() -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    params = ClassParams(args.k, _kind(args.kind))
+    params = ClassParams(args.k, ClassKind(args.kind))
     emit = args.emit_witness if args.emit_witness is not None else args.k == 1
 
     def check(lineno: int, _text: str, g: Graph) -> bool:
@@ -126,7 +122,7 @@ def _report_json(report: EmptinessReport) -> str:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    params = ClassParams(args.k, _kind(args.kind))
+    params = ClassParams(args.k, ClassKind(args.kind))
     rules = DEFAULT_RULES if args.rules is None else frozenset(args.rules)
     source = "stream" if args.source == "-" else args.source
     spec = ScanSpec(args.n, params, source=source, prune_rules=rules)
@@ -137,7 +133,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    params = ClassParams(args.k, _kind(args.kind))
+    params = ClassParams(args.k, ClassKind(args.kind))
     payload: dict[str, object] = {
         "class": params.kind.value,
         "k": params.k,
@@ -181,7 +177,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.k < 2:
         print("error: audit needs --k of at least 2", file=sys.stderr)
         return EXIT_USAGE
-    kind = _kind(args.kind)
+    kind = ClassKind(args.kind)
     params = ClassParams(args.k, kind)
 
     def audit(lineno: int, text: str, g: Graph) -> None:

@@ -77,9 +77,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.adj[v]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -171,35 +168,27 @@ def parse_graph6(record: str | bytes) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise Graph6Error(f"expected {nbytes} edge bytes for order {n}, got {len(body)}")
-    rows = [0] * n
-    pos = 0
+    value = 0
     for ch in body:
         c = ord(ch)
         if not 63 <= c <= 126:
             raise Graph6Error(f"byte {c} outside graph6 range")
-        group = c - 63
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if pos < nbits:
-                if bit:
-                    # column-major upper triangle: bit index pos covers pair (i, j)
-                    j, i = _pair_at(pos)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("set bit in padding")
-            pos += 1
+        value = value << 6 | (c - 63)
+    pad = 6 * nbytes - nbits
+    if value & ((1 << pad) - 1):
+        raise Graph6Error("set bit in padding")
+    value >>= pad
+    # column-major upper triangle, as write_graph6 emits it: pair (0, 1)
+    # sits in the highest bit
+    pos = nbits
+    rows = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if value >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def _pair_at(pos: int) -> tuple[int, int]:
-    # inverse of pos = j*(j-1)/2 + i with 0 <= i < j
-    j = int(((8 * pos + 1) ** 0.5 + 1) / 2)
-    while j * (j - 1) // 2 > pos:
-        j -= 1
-    while (j + 1) * j // 2 <= pos:
-        j += 1
-    return j, pos - j * (j - 1) // 2
 
 
 def write_graph6(g: Graph) -> str:

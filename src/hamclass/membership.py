@@ -113,26 +113,16 @@ def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) ->
     )
 
 
-def gamma_membership(g: Graph, k: int, *, collect_walks: bool = False) -> MembershipVerdict:
-    """Cycle-class membership at level k; see `membership`."""
-    return membership(g, ClassParams(k, ClassKind.GAMMA), collect_walks=collect_walks)
-
-
-def pi_membership(g: Graph, k: int, *, collect_walks: bool = False) -> MembershipVerdict:
-    """Path-class membership at level k; see `membership`."""
-    return membership(g, ClassParams(k, ClassKind.PI), collect_walks=collect_walks)
-
-
 def is_hypohamiltonian(g: Graph) -> bool:
     if g.n < 4:
         return False
-    return gamma_membership(g, 1).member
+    return membership(g, ClassParams(1, ClassKind.GAMMA)).member
 
 
 def is_hypotraceable(g: Graph) -> bool:
     if g.n < 4:
         return False
-    return pi_membership(g, 1).member
+    return membership(g, ClassParams(1, ClassKind.PI)).member
 
 
 def check_induced_path_property(g: Graph, k: int) -> int | None:
@@ -243,36 +233,3 @@ def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iter
                 yield rule
     if "connectivity" in rules and not connectivity_requirement(g, params):
         yield "connectivity"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    k: int
-    kind: ClassKind
-    min_degree_required: int
-    max_degree_allowed: Fraction
-    connectivity_required: int
-    order_threshold: int
-    violated: frozenset[str]
-
-
-def bound_pipeline(g: Graph, params: ClassParams, *, holton_sheehan: bool = False) -> BoundReport:
-    """Evaluate every necessary condition on one graph.
-
-    All rules are checked (no short-circuit) so callers see the complete
-    violation set. The classical (n-4)/2 hypohamiltonian ceiling is
-    opt-in: it is inherited knowledge, not something re-proven here.
-    """
-    rules = frozenset(RULE_ORDER) if holton_sheehan else DEFAULT_RULES
-    floor_needed = required_connectivity(params)
-    return BoundReport(
-        g.n,
-        params.k,
-        params.kind,
-        floor_needed,
-        theorem_max_degree(g.n, params),
-        floor_needed,
-        emptiness_threshold(params),
-        frozenset(violated_rules(g, params, rules)),
-    )

@@ -22,6 +22,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from math import comb
 from typing import Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected
@@ -88,10 +89,8 @@ class Certificate:
                 "verdict": self.verdict,
                 "reason": self.reason,
                 "found_length": self.found_length,
-                "witness_set": None if self.witness_set is None else list(self.witness_set),
-                "witness_walks": None
-                if self.witness_walks is None
-                else [list(w) for w in self.witness_walks],
+                "witness_set": self.witness_set,
+                "witness_walks": self.witness_walks,
             },
             separators=(",", ":"),
         )
@@ -210,12 +209,13 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if cert.witness_walks is None:
             return membership(g, params).member
+        # count the walks before any search, and never hold the deletion
+        # sets: there are C(n, k) of them, whatever the certificate's size
+        if len(cert.witness_walks) != comb(g.n, k):
+            return False
         if longest(g)[0] != target:
             return False
-        drops = list(combinations(range(g.n), k))
-        if len(cert.witness_walks) != len(drops):
-            return False
-        for drop, walk in zip(drops, cert.witness_walks):
+        for drop, walk in zip(combinations(range(g.n), k), cert.witness_walks):
             if len(walk) != target or set(walk) & set(drop):
                 return False
             if not _walk_ok(g, kind, walk):

@@ -10,8 +10,11 @@ here is meant for graphs much beyond 20 vertices.
 only by reach, until the incumbent has n - 1 vertices and the one vertex
 left has been tried as its next step (a seed cycle of n - 1 vertices is
 handed over at once). If no spanning walk came of that, the spanning
-question goes to `hamilton_cycle` / `hamilton_path`, which prune harder
-(forced degree-2 edges, vertices short of free neighbours).
+question goes to `hamilton_cycle` / `hamilton_path`, which prune harder,
+by vertices short of free neighbours. `hamilton_cycle` needs no separate
+pass for the edges forced at a degree-2 vertex: once a neighbour of it
+other than vertex 0 is on the path, that vertex is short and must come
+next.
 The handoff cannot change a witness:
 
 - pruning in the branch and bound only discards branches that cannot beat
@@ -99,35 +102,14 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
     full = g.vertex_mask
     if closure_mask(adj, full, 1) != full:
         return None
-    # both edges of a degree-2 vertex are mandatory; three mandatory edges
-    # at one vertex kill the graph before any search
-    forced = [adj[v] if adj[v].bit_count() == 2 else 0 for v in range(n)]
-    for v in range(n):
-        for u in bits(adj[v]):
-            if forced[u] >> v & 1:
-                forced[v] |= 1 << u
-    if any(row.bit_count() > 2 for row in forced):
-        return None
 
     path = [0]
 
     def extend(u: int, used: int) -> tuple[int, ...] | None:
-        # a completed cycle satisfies every forced edge automatically, so the
-        # forced set only prunes, it never needs a final check
         if len(path) == n:
             return tuple(path) if adj[u] & 1 else None
         unused = full & ~used
         cands = adj[u] & unused
-        must = forced[u] & unused
-        if used == 1:
-            # at the root both forced edges may still be pending: one as the
-            # first path edge, the other as the closing edge
-            if must.bit_count() == 2:
-                cands &= must
-        elif must:
-            if must.bit_count() > 1:
-                return None
-            cands &= must
         if not cands:
             return None
         if closure_mask(adj, unused, cands) != unused:
@@ -363,8 +345,8 @@ def longest_induced_path_from(g: Graph, v: int, stop_at: int | None = None) -> P
         nonlocal best
         if len(path) > len(best):
             best = tuple(path)
-            if stop_at is not None and len(best) >= stop_at:
-                return True
+        if stop_at is not None and len(best) >= stop_at:
+            return True
         # extending past `last` forbids all later adjacency to the interior
         nxt = adj[last] & ~blocked
         for w in bits(nxt):

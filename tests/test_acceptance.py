@@ -26,9 +26,8 @@ from hamclass.membership import (
     connectivity_requirement,
     degree_ceilings,
     emptiness_threshold,
-    gamma_membership,
+    membership,
     parameter_emptiness,
-    pi_membership,
     required_connectivity,
     theorem_max_degree,
 )
@@ -117,11 +116,10 @@ def test_3_degree_bounds_on_corpus(capsys, corpus, members_seen):
     for kind in (GAMMA, PI):
         for k in (1, 2):
             params = ClassParams(k, kind)
-            decide = gamma_membership if kind is GAMMA else pi_membership
             numerator = 1 - k * k if kind is GAMMA else -k * k
             for n in range(_smallest_order(params), 9):
                 for g in corpus[n]:
-                    if not decide(g, k).member:
+                    if not membership(g, params).member:
                         continue
                     members_seen.append((g, params))
                     if 2 * degree_profile(g).max_degree > n + numerator:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -88,6 +89,17 @@ def test_check_reads_file_with_header(tmp_path, capsys):
     assert verdicts == ["member", "refuted"]
 
 
+def test_check_file_with_non_ascii_record_keeps_member(tmp_path, capsys, caplog):
+    target = tmp_path / "bad.g6"
+    target.write_bytes(b"I?LRCecq?\n\xff\xfe\n")
+    code, out, err = run(capsys, ["check", "--k", "1", str(target)])
+    assert code == 1
+    (line,) = out.splitlines()
+    assert json.loads(line)["verdict"] == "member"
+    assert "record 2 skipped" in caplog.text
+    assert "error" not in err
+
+
 def test_scan_threshold_report(capsys):
     code, out, _ = run(capsys, ["scan", "--n", "10", "--k", "2"])
     assert code == 0
@@ -172,6 +184,26 @@ def test_audit_reports_and_skips(monkeypatch, capsys):
     assert all(not gap["satisfied"] for gap in payload["gaps"])
     assert payload["improvement"] is not None
     assert "record 2 skipped" in err
+
+
+# sha256 of audit's stdout over every connected graph of order 1..8 (the
+# sorted graph6 of the corpus fixture), with the number of report lines
+AUDIT_CORPUS_PINS = {
+    "gamma": ("72757eaa3e23969cb92db8a33b841e23ba69558c6b0ff58fb26c35bb1c757218", 1501),
+    "pi": ("25d15290d39db848f9da3a840803fd0c7ce8a967927ccae2ecdf1c31fa1532bc", 308),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AUDIT_CORPUS_PINS))
+def test_audit_corpus_output_pinned(kind, corpus, tmp_path, capsys):
+    target = tmp_path / "corpus.g6"
+    lines = sorted(write_graph6(g) for graphs in corpus.values() for g in graphs)
+    target.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(capsys, ["audit", str(target), "--k", "2", "--class", kind])
+    assert code == 0
+    digest, count = AUDIT_CORPUS_PINS[kind]
+    assert len(out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_circumference(monkeypatch, capsys):

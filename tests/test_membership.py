@@ -17,18 +17,16 @@ from hamclass.membership import (
     WRONG_LENGTH,
     ClassKind,
     ClassParams,
-    bound_pipeline,
     check_induced_path_property,
     connectivity_requirement,
     emptiness_threshold,
-    gamma_membership,
     is_hypohamiltonian,
     is_hypotraceable,
     membership,
     parameter_emptiness,
-    pi_membership,
     required_connectivity,
     theorem_max_degree,
+    violated_rules,
 )
 from hamclass.walks import check_witness, is_cycle_in, is_path_in
 from util import (
@@ -43,7 +41,7 @@ PI = ClassKind.PI
 
 
 def test_petersen_is_gamma_member_at_level_1():
-    v = gamma_membership(petersen(), 1, collect_walks=True)
+    v = membership(petersen(), ClassParams(1, GAMMA), collect_walks=True)
     assert v.member and v.reason is None
     assert v.found_length == 9
     assert v.deletion_walks is not None and len(v.deletion_walks) == 10
@@ -55,14 +53,14 @@ def test_petersen_is_gamma_member_at_level_1():
 
 
 def test_complete_graph_refuted_by_length():
-    v = gamma_membership(complete_graph(5), 1)
+    v = membership(complete_graph(5), ClassParams(1, GAMMA))
     assert not v.member
     assert v.reason == WRONG_LENGTH and v.found_length == 5
     assert v.witness is not None and is_cycle_in(complete_graph(5), v.witness.vertices)
 
 
 def test_cycle_refuted_by_length_before_deletion_sets():
-    v = gamma_membership(cycle_graph(6), 1)
+    v = membership(cycle_graph(6), ClassParams(1, GAMMA))
     assert v.reason == WRONG_LENGTH and v.found_length == 6
 
 
@@ -70,25 +68,25 @@ def test_gamma_bad_deletion_set():
     # C5 with a pendant at 0: circumference 5 = n-1, but deleting 0
     # strands the pendant, and (0,) is lexicographically first
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
-    v = gamma_membership(g, 1)
+    v = membership(g, ClassParams(1, GAMMA))
     assert not v.member
     assert v.reason == BAD_DELETION_SET
     assert v.bad_set == (0,)
 
 
 def test_pi_refutations():
-    v = pi_membership(complete_graph(4), 1)
+    v = membership(complete_graph(4), ClassParams(1, PI))
     assert v.reason == WRONG_LENGTH and v.found_length == 4
-    v = pi_membership(cycle_graph(5), 1)
+    v = membership(cycle_graph(5), ClassParams(1, PI))
     assert v.reason == WRONG_LENGTH and v.found_length == 5
-    v = pi_membership(petersen(), 1)
+    v = membership(petersen(), ClassParams(1, PI))
     assert v.reason == WRONG_LENGTH and v.found_length == 10
     assert v.witness is not None and is_path_in(petersen(), v.witness.vertices)
 
 
 def test_claw_fails_on_center_deletion():
     claw = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
-    v = pi_membership(claw, 1)
+    v = membership(claw, ClassParams(1, PI))
     assert not v.member
     assert v.reason == BAD_DELETION_SET and v.bad_set == (3,)
     assert not is_hypotraceable(claw)
@@ -101,16 +99,16 @@ def test_membership_dispatch():
 
 def test_preconditions():
     with pytest.raises(ValueError):
-        gamma_membership(complete_graph(4), 2)  # n-k = 2 < 3
+        membership(complete_graph(4), ClassParams(2, GAMMA))  # n-k = 2 < 3
     with pytest.raises(ValueError):
-        pi_membership(complete_graph(4), 4)  # n-k = 0
+        membership(complete_graph(4), ClassParams(4, PI))  # n-k = 0
     with pytest.raises(ValueError):
-        gamma_membership(petersen(), 0)
+        membership(petersen(), ClassParams(0, GAMMA))
     with pytest.raises(ValueError):
         ClassParams(0, GAMMA)
     # boundary cases that must not raise
-    assert not pi_membership(complete_graph(4), 3).member
-    assert not gamma_membership(cycle_graph(4), 1).member
+    assert not membership(complete_graph(4), ClassParams(3, PI)).member
+    assert not membership(cycle_graph(4), ClassParams(1, GAMMA)).member
 
 
 def test_hypohamiltonian_helpers_agree():
@@ -174,37 +172,36 @@ def test_parameter_emptiness_matches_threshold():
                 assert parameter_emptiness(n, params) == (n < cut)
 
 
-def test_bound_pipeline_examples():
-    rep = bound_pipeline(petersen(), ClassParams(1, GAMMA))
-    assert rep.violated == frozenset()
-    assert rep.max_degree_allowed == 5
-    assert rep.min_degree_required == 3
-    rep = bound_pipeline(petersen(), ClassParams(1, GAMMA), holton_sheehan=True)
-    assert rep.violated == frozenset()
+def test_violated_rules_examples():
+    g1 = ClassParams(1, GAMMA)
+    assert set(violated_rules(petersen(), g1, DEFAULT_RULES)) == set()
+    assert theorem_max_degree(10, g1) == 5
+    assert required_connectivity(g1) == 3
+    assert set(violated_rules(petersen(), g1, frozenset(RULE_ORDER))) == set()
 
-    rep = bound_pipeline(complete_graph(7), ClassParams(2, GAMMA))
-    assert rep.violated == frozenset({"order_threshold", "max_degree"})
-    assert rep.order_threshold == 11
+    violated = set(violated_rules(complete_graph(7), ClassParams(2, GAMMA), DEFAULT_RULES))
+    assert violated == {"order_threshold", "max_degree"}
+    assert emptiness_threshold(ClassParams(2, GAMMA)) == 11
 
-    rep = bound_pipeline(cycle_graph(10), ClassParams(2, GAMMA))
-    assert "order_threshold" in rep.violated
-    assert "min_degree" in rep.violated
+    violated = set(violated_rules(cycle_graph(10), ClassParams(2, GAMMA), DEFAULT_RULES))
+    assert "order_threshold" in violated
+    assert "min_degree" in violated
 
 
-def test_bound_pipeline_holton_sheehan_gate():
+def test_violated_rules_holton_sheehan_gate():
     # a 4-regular graph of order 10 passes the theorem ceiling (4 <= 5)
     # but not the classical one (4 > 3); the rule stays quiet unless asked
     g = Graph.from_edges(
         10, [(i, (i + d) % 10) for i in range(10) for d in (1, 2)]
     )
-    base = bound_pipeline(g, ClassParams(1, GAMMA))
-    assert "holton_sheehan" not in base.violated
-    assert "max_degree" not in base.violated
-    strict = bound_pipeline(g, ClassParams(1, GAMMA), holton_sheehan=True)
-    assert "holton_sheehan" in strict.violated
-    # the flag is specific to the cycle class at k=1
-    pi_rep = bound_pipeline(g, ClassParams(1, PI), holton_sheehan=True)
-    assert "holton_sheehan" not in pi_rep.violated
+    base = set(violated_rules(g, ClassParams(1, GAMMA), DEFAULT_RULES))
+    assert "holton_sheehan" not in base
+    assert "max_degree" not in base
+    strict = set(violated_rules(g, ClassParams(1, GAMMA), frozenset(RULE_ORDER)))
+    assert "holton_sheehan" in strict
+    # the rule is specific to the cycle class at k=1
+    pi_violated = set(violated_rules(g, ClassParams(1, PI), frozenset(RULE_ORDER)))
+    assert "holton_sheehan" not in pi_violated
 
 
 def test_rule_vocabulary():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import tracemalloc
 from concurrent.futures import Executor, Future
 
 import pytest
@@ -16,7 +17,7 @@ from hamclass.graphs import (
     petersen,
     write_graph6,
 )
-from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams, bound_pipeline
+from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams, violated_rules
 from hamclass.search import (
     Certificate,
     CertificateError,
@@ -28,7 +29,7 @@ from hamclass.search import (
     scan,
     verify_certificate,
 )
-from util import generalized_petersen
+from util import generalized_petersen, rule_reference
 
 G1 = ClassParams(1, ClassKind.GAMMA)
 P1 = ClassParams(1, ClassKind.PI)
@@ -201,15 +202,18 @@ def connected_to_order_7():
     return {n: list(generate_connected(n)) for n in range(1, 8)}
 
 
-def test_first_violated_rule_matches_bound_pipeline(connected_to_order_7):
+def test_first_violated_rule_matches_reference(connected_to_order_7):
+    rule_sets = [DEFAULT_RULES, frozenset(RULE_ORDER)] + [frozenset({r}) for r in RULE_ORDER]
     for graphs in connected_to_order_7.values():
         for g in graphs:
             for kind in ClassKind:
                 for k in (1, 2):
                     params = ClassParams(k, kind)
-                    for hs, rules in ((False, DEFAULT_RULES), (True, frozenset(RULE_ORDER))):
-                        violated = bound_pipeline(g, params, holton_sheehan=hs).violated
-                        first = next((r for r in RULE_ORDER if r in violated), None)
+                    expected = rule_reference(g, params, RULE_ORDER)
+                    for rules in rule_sets:
+                        violated = list(violated_rules(g, params, rules))
+                        assert violated == [r for r in RULE_ORDER if r in expected & rules]
+                        first = violated[0] if violated else None
                         assert first_violated_rule(g, params, rules) == first
 
 
@@ -293,6 +297,33 @@ def test_fabricated_member_certificate_rejected():
     cert = Certificate(write_graph6(k5), ClassKind.GAMMA, 1, "member", None, 4, None, tuple(walks))
     # every per-deletion walk replays fine; only the exact length check can say no
     assert not verify_certificate(cert)
+
+
+def test_member_replay_counts_walks_in_bounded_memory():
+    # C11 plus 11 isolated vertices at k = 11 has C(22, 11) = 705,432
+    # deletion sets; a certificate of under 200 bytes claims them all
+    g = Graph.from_edges(22, [(i, (i + 1) % 11) for i in range(11)])
+    line = json.dumps(
+        {
+            "graph6": write_graph6(g),
+            "class": "gamma",
+            "k": 11,
+            "verdict": "member",
+            "reason": None,
+            "found_length": 11,
+            "witness_set": None,
+            "witness_walks": [],
+        }
+    )
+    assert len(line) < 200
+    cert = parse_certificate(line)
+    tracemalloc.start()
+    try:
+        assert not verify_certificate(cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tampered_certificates_fail():

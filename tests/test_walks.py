@@ -34,6 +34,7 @@ from util import (
     circumference_dp_oracle,
     brute_longest_induced_path_from,
     brute_longest_path,
+    is_induced_path,
     random_graph,
 )
 
@@ -181,7 +182,10 @@ def test_longest_induced_path_fixtures():
     assert w.order == 2
     # stop_at truncates the search as soon as the target order is reached
     w = longest_induced_path_from(cycle_graph(6), 0, stop_at=3)
-    assert w.order == 3
+    assert w.vertices == (0, 1, 2)
+    # including before the first step
+    w = longest_induced_path_from(cycle_graph(6), 0, stop_at=1)
+    assert w.vertices == (0,)
 
 
 def test_longest_induced_path_matches_brute_force():
@@ -193,6 +197,10 @@ def test_longest_induced_path_matches_brute_force():
         w = longest_induced_path_from(g, v)
         assert w.vertices[0] == v
         assert w.order == brute_longest_induced_path_from(g, v)
+        for stop in range(1, n + 1):
+            short = longest_induced_path_from(g, v, stop_at=stop)
+            assert short.vertices[0] == v and is_induced_path(g, short.vertices)
+            assert short.order == min(stop, w.order)
 
 
 def test_extend_cycle():

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from hamclass.canon import refine
 from hamclass.graphs import Graph, bits, induced_subgraph
-from hamclass.membership import ClassKind
+from hamclass.membership import ClassKind, ClassParams
 from hamclass.walks import hamilton_cycle, hamilton_path
 
 
@@ -76,6 +76,27 @@ def brute_connectivity(g: Graph) -> int:
             if not connected_after(set(cut)):
                 return size
     return g.n - 1
+
+
+def rule_reference(g: Graph, params: ClassParams, rules: Iterable[str]) -> set[str]:
+    """The enabled prune rules g violates, each from its definition:
+    degrees counted off the rows, connectivity by brute force, and the
+    closed-form order threshold and degree ceilings."""
+    n, k = g.n, params.k
+    gamma = params.kind is ClassKind.GAMMA
+    degrees = [row.bit_count() for row in g.adj]
+    need = k + 2 if gamma else k + 1
+    # a member's maximum degree is at most half of this
+    twice_ceiling = n - k * k + 1 if gamma else n - k * k
+    threshold = k * k + 2 * k + 3 if gamma else k * k + 2 * k + 2
+    fails = {
+        "order_threshold": k >= 2 and n < threshold,
+        "min_degree": min(degrees) < need,
+        "max_degree": 2 * max(degrees) > twice_ceiling,
+        "holton_sheehan": gamma and k == 1 and 2 * max(degrees) > n - 4,
+        "connectivity": brute_connectivity(g) < need,
+    }
+    return {rule for rule in rules if fails[rule]}
 
 
 def brute_longest_cycle(g: Graph) -> int:
