@@ -7,13 +7,31 @@ graphs are isomorphic iff their forms agree. Discovered automorphisms
 prune the search, so near-regular graphs (complete graphs, circulants)
 stay tractable despite their large groups.
 
+Two leaves with equal codes differ by an automorphism, which the search
+records, and the recorded automorphisms generate the whole group A of
+automorphisms that preserve the initial partition. A acts on the search
+tree: refinement and the choice of target cell depend only on positions,
+so an automorphism maps a node and its leaves to a node and leaves with
+equal codes. Let R be the group the recorded ones generate. By induction
+up the tree, when the search below a node returns, every leaf below it
+has code at most the best so far, and each leaf equal to the best is
+carried onto the best leaf by an element of R. At a leaf that element
+is the recorded automorphism, or the identity when the leaf becomes the
+best. A child skipped beside an explored sibling is the sibling's image
+under a power of a recorded generator that fixes the base, so its leaves
+are images of the sibling's leaves and the two elements compose. A later
+rise of the best code leaves no old leaf equal to it, and later records
+only enlarge R. At the root, an automorphism g carries the leaf whose
+order is the best order mapped by g's inverse onto the best leaf, so g
+lies in R.
+
 Intended for the orders the generator handles (about a dozen vertices);
 everything is exact at any order the Graph type accepts, just slower.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, bits, mask_of, write_graph6
+from .graphs import Graph, mask_of, write_graph6
 
 Cells = list[tuple[int, ...]]
 
@@ -25,51 +43,79 @@ def refine(adj: tuple[int, ...], cells: Cells) -> Cells:
     by ascending count. Restarts from the first splitter after any split, so
     the result depends only on the partition structure, never on labels.
     """
+    return _refine(adj, cells, set())
+
+
+def _refine(adj: tuple[int, ...], cells: Cells, uniform: set[tuple[int, ...]]) -> Cells:
+    """`refine`, given cells already known to be uniform on every cell.
+
+    A splitter uniform on every cell stays uniform on every part of a later
+    split, so the restart skips it and the splits made are those `refine`
+    makes without the hint. Cells only shrink, so no part ever equals a
+    tuple recorded before. On return `uniform` holds every cell.
+    """
     cells = list(cells)
     i = 0
     while i < len(cells):
-        smask = mask_of(cells[i])
-        split_at = -1
+        splitter = cells[i]
+        if splitter in uniform:
+            i += 1
+            continue
+        smask = mask_of(splitter)
         for j, cell in enumerate(cells):
             if len(cell) == 1:
                 continue
-            counts = sorted({(adj[v] & smask).bit_count() for v in cell})
-            if len(counts) > 1:
-                parts = [
-                    tuple(v for v in cell if (adj[v] & smask).bit_count() == c)
-                    for c in counts
-                ]
-                cells[j : j + 1] = parts
-                split_at = j
-                break
-        if split_at < 0:
-            i += 1
-        else:
+            c0 = (adj[cell[0]] & smask).bit_count()
+            for v in cell:
+                if (adj[v] & smask).bit_count() != c0:
+                    break
+            else:
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                c = (adj[v] & smask).bit_count()
+                if c in groups:
+                    groups[c].append(v)
+                else:
+                    groups[c] = [v]
+            cells[j : j + 1] = [tuple(groups[c]) for c in sorted(groups)]
             i = 0
+            break
+        else:
+            uniform.add(splitter)
+            i += 1
     return cells
 
 
 def _relabeled_rows(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
     rows = []
     for v in order:
         m = 0
-        for u in bits(adj[v]):
-            m |= 1 << pos[u]
+        row = adj[v]
+        while row:
+            low = row & -row
+            m |= 1 << pos[low.bit_length() - 1]
+            row ^= low
         rows.append(m)
     return tuple(rows)
 
 
-def _search(n: int, adj: tuple[int, ...], cells: Cells) -> tuple[int, ...]:
-    """Greatest leaf code over the individualization-refinement tree."""
+def _search(
+    n: int, adj: tuple[int, ...], cells: Cells
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Greatest leaf code over the individualization-refinement tree, and
+    automorphisms that generate the group preserving the initial cells."""
     best: tuple[int, ...] | None = None
     best_order: list[int] | None = None
     autos: list[list[int]] = []
     base: list[int] = []
 
-    def descend(cells: Cells) -> None:
+    def descend(cells: Cells, uniform: set[tuple[int, ...]]) -> None:
         nonlocal best, best_order
-        cells = refine(adj, cells)
+        cells = _refine(adj, cells, uniform)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
@@ -110,17 +156,24 @@ def _search(n: int, adj: tuple[int, ...], cells: Cells) -> tuple[int, ...]:
             explored |= 1 << v
             base.append(v)
             others = tuple(u for u in cell if u != v)
-            descend(head + [(v,), others] + rest)
+            # every cell of an equitable partition stays uniform on the
+            # two parts of the target
+            descend(head + [(v,), others] + rest, set(uniform))
             base.pop()
 
-    descend(cells)
+    descend(cells, set())
     assert best is not None
-    return best
+    return best, autos
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Adjacency rows of the canonical relabeling; equal iff isomorphic."""
-    return _search(g.n, g.adj, [tuple(range(g.n))])
+    return _search(g.n, g.adj, [tuple(range(g.n))])[0]
+
+
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Permutations (gamma[v] is the image of v) that generate Aut(g)."""
+    return _search(g.n, g.adj, [tuple(range(g.n))])[1]
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -144,5 +197,5 @@ def marked_code(g: Graph, x: int) -> tuple[int, ...]:
     if g.n == 1:
         return (0,)
     others = tuple(v for v in range(g.n) if v != x)
-    return _search(g.n, g.adj, [(x,), others])
+    return _search(g.n, g.adj, [(x,), others])[0]
 

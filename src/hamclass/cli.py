@@ -12,6 +12,7 @@ outranks skipped records, which outrank a clean run.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -42,8 +43,18 @@ EXIT_USAGE = 2
 ORACLE_OPS = ("circumference", "detour", "hamcycle", "hampath", "connectivity")
 
 
+def _stdin() -> TextIO:
+    """stdin decoded as input files are, whatever the locale: a non-ASCII
+    byte becomes a surrogate, so the record reader skips that record alone."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        # text with no byte stream beneath, such as an io.StringIO
+        return sys.stdin
+    return io.TextIOWrapper(buffer, encoding="ascii", errors="surrogateescape")
+
+
 def _open_input(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path, encoding="ascii", errors="surrogateescape")
+    return _stdin() if path == "-" else open(path, encoding="ascii", errors="surrogateescape")
 
 
 def _exit_status(member: bool, skipped: int) -> int:
@@ -126,7 +137,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rules = DEFAULT_RULES if args.rules is None else frozenset(args.rules)
     source = "stream" if args.source == "-" else args.source
     spec = ScanSpec(args.n, params, source=source, prune_rules=rules)
-    stream = sys.stdin if source == "stream" else None
+    stream = _stdin() if source == "stream" else None
     report = scan(spec, stream, workers=_workers())
     print(_report_json(report))
     return _exit_status(bool(report.members_found), report.skipped_records)

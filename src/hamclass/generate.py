@@ -3,17 +3,26 @@
 Depth-first orderly augmentation: a graph on m+1 vertices is produced
 from its deletion parent, the graph left after removing one vertex of
 the canonical orbit. Growing every connected parent by every attachment
-subset, keeping a child only when its newest vertex v lands in that
-orbit, and growing each kept child before its next sibling yields each
+subset up to the parent's symmetries (below), keeping a child only when
+its newest vertex v lands in that orbit, and growing each kept child before its next sibling yields each
 isomorphism class exactly once while holding one path of the tree.
 
-Two kept children of one parent can still coincide (the parent's own
-symmetries); a per-parent set of marked codes of v removes those. An
-isomorphism between two kept siblings carries v into the other child's
-canonical orbit, which holds its v too, so composing with an
-automorphism gives one that fixes v: the marked codes agree. Children
-of distinct parents never collide because the deletion parent is
-determined up to isomorphism.
+Two kept children of one parent are isomorphic exactly when their
+attachment sets lie in one orbit of Aut(parent). An automorphism of the
+parent carrying one set onto the other extends to an isomorphism that
+fixes v. Conversely an isomorphism between two kept siblings carries v
+into the other child's canonical orbit, which holds its v too, so
+composing with an automorphism gives one that fixes v, and it restricts
+to an automorphism of the parent that carries one attachment set onto
+the other. Which parent vertices may or must take the new edge depends
+only on degrees, so the candidate sets are a union of orbits, and
+keeping v in the canonical orbit is a property of the orbit too.
+`_children` therefore yields only the first candidate of each orbit,
+which is its smallest integer mask, and the first kept sibling of each
+class is the one it keeps. The orbits come from the generators of one
+canonical search of the parent, which generate all of Aut(parent) (see
+`canon`). Children of distinct parents never collide because the
+deletion parent is determined up to isomorphism.
 
 The canonical orbit is the set of non-cutvertices minimizing
 (degree, refined cell position, marked canonical code); the first two
@@ -31,6 +40,14 @@ reaches that relaxed floor. Both tests are properties of the isomorphism
 class, so the truncated tree still reaches every class in the window
 through the same canonical parents, and picks the same representatives,
 as the full tree.
+
+The floor also sets a budget. Every edge a vertex of the ancestor of
+order m lacks below the floor goes to one of the n - m later vertices,
+and each of those has at most max_degree edges (n - 1 without a
+ceiling). A child of order m is therefore dropped when the sum over its
+vertices of max(0, min_degree - degree) exceeds (n - m) * max_degree.
+That sum is a property of the class as well, so the budget is sound for
+the same reason as the relaxed floor.
 """
 
 from __future__ import annotations
@@ -39,15 +56,14 @@ from typing import Iterator
 
 # canonical_form is not called here; it stays bound because
 # perfbench/tracer.py wraps it in this module
-from .canon import canonical_form, marked_code, refine
+from .canon import automorphism_generators, canonical_form, marked_code, refine
 from .graphs import MAX_ORDER, Graph, closure_mask, trusted_graph
 
 GENERATION_CAP = 10
 
 
-def _canonical_code(child: Graph) -> tuple[int, ...] | None:
-    """Marked code of the newest vertex when it lies in the canonical
-    orbit, else None."""
+def _is_canonical(child: Graph) -> bool:
+    """Whether the newest vertex lies in the canonical orbit."""
     adj = child.adj
     v = child.n - 1
     dv = adj[v].bit_count()
@@ -64,21 +80,45 @@ def _canonical_code(child: Graph) -> tuple[int, ...] | None:
         if closure_mask(adj, rem, rem & -rem) != rem:
             continue
         if du < dv:
-            return None
+            return False
         ties.append(u)
-    if ties:
-        cells = refine(adj, [tuple(range(child.n))])
-        pos = {u: i for i, cell in enumerate(cells) for u in cell}
-        if any(pos[u] < pos[v] for u in ties):
-            return None
-        ties = [u for u in ties if pos[u] == pos[v]]
+    if not ties:
+        return True
+    cells = refine(adj, [tuple(range(child.n))])
+    pos = {u: i for i, cell in enumerate(cells) for u in cell}
+    if any(pos[u] < pos[v] for u in ties):
+        return False
+    ties = [u for u in ties if pos[u] == pos[v]]
+    if not ties:
+        return True
     code = marked_code(child, v)
-    return code if all(code <= marked_code(child, u) for u in ties) else None
+    return all(code <= marked_code(child, u) for u in ties)
 
 
-def _children(parent: Graph, max_degree: int | None, floor: int) -> Iterator[Graph]:
+def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
+    """The images of a vertex set under the group the permutations generate."""
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        s = frontier.pop()
+        for gamma in gens:
+            image = 0
+            rest = s
+            while rest:
+                low = rest & -rest
+                image |= 1 << gamma[low.bit_length() - 1]
+                rest ^= low
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def _children(
+    parent: Graph, max_degree: int | None, floor: int, gens: list[list[int]]
+) -> Iterator[Graph]:
     """Children of parent, in ascending attachment order, whose degrees all
-    lie in [floor, max_degree]."""
+    lie in [floor, max_degree], one per orbit of the group gens generate."""
     m = parent.n
     rows = parent.adj
     # a parent vertex below the floor must gain the new edge; one at the
@@ -96,11 +136,15 @@ def _children(parent: Graph, max_degree: int | None, floor: int) -> Iterator[Gra
             free |= 1 << u
     high = m if max_degree is None else max_degree
     bit = 1 << m
+    covered: set[int] = set()
     sub = 0
     while True:
-        # the subsets of free in ascending order, each joined to must
+        # the subsets of free in ascending order, each joined to must, so
+        # the first candidate met in an orbit is its smallest mask
         attach = must | sub
-        if attach and floor <= attach.bit_count() <= high:
+        if attach and floor <= attach.bit_count() <= high and attach not in covered:
+            if gens:
+                covered |= _orbit(attach, gens)
             yield trusted_graph(
                 m + 1,
                 tuple(row | bit if attach >> u & 1 else row for u, row in enumerate(rows))
@@ -117,11 +161,15 @@ def _grow(graph: Graph, n: int, max_degree: int | None, min_degree: int) -> Iter
     if graph.n == n:
         yield graph
         return
-    seen: set[tuple[int, ...]] = set()
-    for child in _children(graph, max_degree, min_degree - (n - graph.n - 1)):
-        code = _canonical_code(child)
-        if code is not None and code not in seen:
-            seen.add(code)
+    m = graph.n + 1
+    budget = (n - m) * (n - 1 if max_degree is None else max_degree)
+    gens = automorphism_generators(graph)
+    for child in _children(graph, max_degree, min_degree - (n - m), gens):
+        if min_degree and budget < sum(
+            min_degree - d for d in map(int.bit_count, child.adj) if d < min_degree
+        ):
+            continue
+        if _is_canonical(child):
             yield from _grow(child, n, max_degree, min_degree)
 
 

@@ -4,7 +4,9 @@ from itertools import combinations
 import pytest
 
 from hamclass.canon import (
+    _search,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     canonical_graph6,
     marked_code,
@@ -18,7 +20,15 @@ from hamclass.graphs import (
     path_graph,
     petersen,
 )
-from util import brute_orbits, min_perm_code, random_graph, refinement_cell_index, relabel
+from util import (
+    brute_automorphisms,
+    brute_orbits,
+    min_perm_code,
+    random_graph,
+    refine_reference,
+    refinement_cell_index,
+    relabel,
+)
 
 
 def test_refine_splits_by_degree_first():
@@ -30,6 +40,47 @@ def test_refine_splits_by_degree_first():
 def test_refine_regular_graph_stays_whole():
     g = cycle_graph(5)
     assert refine(g.adj, [tuple(range(5))]) == [tuple(range(5))]
+
+
+def test_refine_matches_reference():
+    rng = random.Random(41)
+    for _ in range(5000):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random())
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        cells = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        assert refine(g.adj, cells) == refine_reference(g.adj, cells)
+
+
+def generated_group(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for gamma in gens:
+            image = tuple(gamma[v] for v in perm)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
+def test_recorded_automorphisms_generate_the_group(corpus):
+    for n in range(1, 8):
+        for g in corpus[n]:
+            assert generated_group(automorphism_generators(g), n) == set(brute_automorphisms(g))
+
+
+def test_marked_search_automorphisms_generate_the_stabiliser(corpus):
+    for n in range(2, 7):
+        for g in corpus[n]:
+            autos = brute_automorphisms(g)
+            for x in range(n):
+                others = tuple(v for v in range(n) if v != x)
+                gens = _search(n, g.adj, [(x,), others])[1]
+                assert generated_group(gens, n) == {p for p in autos if p[x] == x}
 
 
 def test_canonical_form_is_valid_relabeling():

@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hamclass
 from hamclass.cli import main
 from hamclass.graphs import (
     complete_graph,
@@ -98,6 +103,30 @@ def test_check_file_with_non_ascii_record_keeps_member(tmp_path, capsys, caplog)
     assert json.loads(line)["verdict"] == "member"
     assert "record 2 skipped" in caplog.text
     assert "error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "--k", "1", "-"], ["scan", "--n", "10", "--k", "1", "--source", "-"]]
+)
+def test_stdin_with_non_ascii_record_keeps_member(argv):
+    # a strict stdin decoder must not turn one bad record into a failed run
+    src = str(Path(hamclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamclass.cli", *argv],
+        input=b"I?LRCecq?\n\xff\xfe\n",
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "record 2 skipped" in proc.stderr.decode()
+    (line,) = proc.stdout.decode().splitlines()
+    if argv[0] == "check":
+        assert json.loads(line)["verdict"] == "member"
+    else:
+        assert json.loads(line)["members_found"] == ["I?LRCecq?"]
 
 
 def test_scan_threshold_report(capsys):

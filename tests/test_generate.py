@@ -7,7 +7,7 @@ import pytest
 from hamclass.canon import canonical_form
 from hamclass.generate import generate_connected
 from hamclass.graphs import Graph, degree_profile, is_connected, write_graph6
-from util import automorphism_count, min_perm_code
+from util import automorphism_count, generate_connected_reference, min_perm_code
 
 # connected graph counts by order, long since settled
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -99,6 +99,20 @@ def test_pinned_representatives(corpus, n, lo, hi):
     count, digest = PINNED_REPRESENTATIVES[n, lo, hi]
     assert len(lines) == count
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+# windows where the degree-deficit budget prunes: (9, 4, 4) and (8, 3, 3)
+ORACLE_CASES = [(n, 0, None) for n in range(1, 9)] + [(9, 3, 4), (10, 3, 3), (9, 4, 4), (8, 3, 3)]
+
+
+@pytest.mark.parametrize("n, lo, hi", ORACLE_CASES)
+def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
+    if (lo, hi) == (0, None):
+        graphs = corpus[n]
+    else:
+        graphs = generate_connected(n, max_degree=hi, min_degree=lo)
+    expected = generate_connected_reference(n, max_degree=hi, min_degree=lo)
+    assert [write_graph6(g) for g in graphs] == [write_graph6(g) for g in expected]
+
 
 # connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)
 REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}

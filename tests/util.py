@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from hamclass.canon import refine
-from hamclass.graphs import Graph, bits, induced_subgraph
+from hamclass.canon import marked_code
+from hamclass.graphs import Graph, bits, closure_mask, induced_subgraph, mask_of, trusted_graph
 from hamclass.membership import ClassKind, ClassParams
 from hamclass.walks import hamilton_cycle, hamilton_path
 
@@ -332,9 +332,121 @@ def hypotraceable_direct(g: Graph) -> bool:
     )
 
 
+def refine_reference(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Equitable refinement as first written: after every split, rescan
+    every splitter from the first, and build each part by a comprehension."""
+    cells = list(cells)
+    i = 0
+    while i < len(cells):
+        smask = mask_of(cells[i])
+        split_at = -1
+        for j, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            counts = sorted({(adj[v] & smask).bit_count() for v in cell})
+            if len(counts) > 1:
+                parts = [
+                    tuple(v for v in cell if (adj[v] & smask).bit_count() == c)
+                    for c in counts
+                ]
+                cells[j : j + 1] = parts
+                split_at = j
+                break
+        if split_at < 0:
+            i += 1
+        else:
+            i = 0
+    return cells
+
+
+def _canonical_code_reference(child: Graph) -> tuple[int, ...] | None:
+    """Marked code of the newest vertex when it lies in the canonical
+    orbit (least degree, then refined cell, then marked code among
+    non-cutvertices), else None."""
+    adj = child.adj
+    v = child.n - 1
+    dv = adj[v].bit_count()
+    full = child.vertex_mask
+    ties = []
+    for u in range(v):
+        du = adj[u].bit_count()
+        if du > dv:
+            continue
+        rem = full ^ (1 << u)
+        if closure_mask(adj, rem, rem & -rem) != rem:
+            continue
+        if du < dv:
+            return None
+        ties.append(u)
+    if ties:
+        cells = refine_reference(adj, [tuple(range(child.n))])
+        pos = {u: i for i, cell in enumerate(cells) for u in cell}
+        if any(pos[u] < pos[v] for u in ties):
+            return None
+        ties = [u for u in ties if pos[u] == pos[v]]
+    code = marked_code(child, v)
+    return code if all(code <= marked_code(child, u) for u in ties) else None
+
+
+def _children_reference(parent: Graph, max_degree: int | None, floor: int) -> Iterator[Graph]:
+    m = parent.n
+    rows = parent.adj
+    must = free = 0
+    for u in range(m):
+        d = rows[u].bit_count()
+        if max_degree is not None and d >= max_degree:
+            if d < floor:
+                return
+            continue
+        if d < floor:
+            must |= 1 << u
+        else:
+            free |= 1 << u
+    high = m if max_degree is None else max_degree
+    bit = 1 << m
+    sub = 0
+    while True:
+        attach = must | sub
+        if attach and floor <= attach.bit_count() <= high:
+            yield trusted_graph(
+                m + 1,
+                tuple(row | bit if attach >> u & 1 else row for u, row in enumerate(rows))
+                + (attach,),
+            )
+        sub = (sub - free) & free
+        if not sub:
+            return
+
+
+def _grow_reference(
+    graph: Graph, n: int, max_degree: int | None, min_degree: int
+) -> Iterator[Graph]:
+    if graph.n == n:
+        yield graph
+        return
+    seen: set[tuple[int, ...]] = set()
+    for child in _children_reference(graph, max_degree, min_degree - (n - graph.n - 1)):
+        code = _canonical_code_reference(child)
+        if code is not None and code not in seen:
+            seen.add(code)
+            yield from _grow_reference(child, n, max_degree, min_degree)
+
+
+def generate_connected_reference(
+    n: int, max_degree: int | None = None, min_degree: int = 0
+) -> Iterator[Graph]:
+    """The generator before orbit pruning: every attachment set is tried,
+    and siblings are deduplicated by the newest vertex's marked code. Its
+    output sequence, in order, is what `generate_connected` must emit.
+    It shares `marked_code` and the graph helpers with the package, with
+    `refine_reference` in place of `refine`."""
+    if n > 1 or min_degree == 0:
+        yield from _grow_reference(Graph(1, (0,)), n, max_degree, min_degree)
+
+
 def refinement_cell_index(g: Graph, x: int) -> int:
     """Position of x's cell in the refined uniform partition."""
-    cells = refine(g.adj, [tuple(range(g.n))])
+    cells = refine_reference(g.adj, [tuple(range(g.n))])
     for i, cell in enumerate(cells):
         if x in cell:
             return i
