@@ -18,9 +18,7 @@ from .attachment import (
     ConfigError,
     build_config,
     consecutive_neighbor_check,
-    degree_chain_audit,
-    verify_gamma_claim,
-    verify_pi_claims,
+    verify_claims,
 )
 from .canon import are_isomorphic, canonical_form, canonical_graph6
 from .generate import GENERATION_CAP, generate_connected
@@ -106,7 +104,6 @@ __all__ = [
     "connectivity_requirement",
     "consecutive_neighbor_check",
     "cycle_graph",
-    "degree_chain_audit",
     "degree_profile",
     "detour_order",
     "emptiness_threshold",
@@ -127,8 +124,7 @@ __all__ = [
     "scan",
     "theorem_max_degree",
     "verify_certificate",
-    "verify_gamma_claim",
-    "verify_pi_claims",
+    "verify_claims",
     "vertex_connectivity",
     "violated_rules",
     "write_graph6",

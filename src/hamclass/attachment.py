@@ -18,12 +18,11 @@ bug rather than a soft failure.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, induced_subgraph, mask_of
-from .membership import ClassKind
+from .membership import ClassKind, ClassParams, theorem_max_degree
 from .walks import (
     CycleWitness,
     PathWitness,
@@ -210,86 +209,50 @@ def _first_insertion(cfg: AttachmentConfig) -> tuple[int, ...] | None:
     return None
 
 
-def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | None:
-    """Insertion cycle through the path head, if two consecutive spine
+def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | PathWitness | None:
+    """Insertion walk through the path head, if two consecutive spine
     vertices admit it. Refutes any claim that the spine is longest."""
-    if cfg.kind is not ClassKind.GAMMA:
-        raise ValueError("insertion check applies to cycle spines only")
     verts = _first_insertion(cfg)
     if verts is None:
         return None
-    w = CycleWitness(verts)
+    w = type(cfg.spine)(verts)
     check_witness(cfg.graph, w)
     return w
 
 
-def _longer_than_spine(
-    cfg: AttachmentConfig,
-    raw: list[tuple[int, ...]],
-    witness: type[CycleWitness] | type[PathWitness],
-) -> list:
-    """The raw exchange walks and the insertion walk, each validated as a
-    `witness`, that are strictly longer than the spine."""
-    ins = _first_insertion(cfg)
-    if ins is not None:
-        raw.append(ins)
-    out = []
-    for verts in raw:
-        wit = witness(verts)
-        check_witness(cfg.graph, wit)
-        if wit.order > len(cfg.spine.vertices):
-            out.append(wit)
-    return out
-
-
-def gamma_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[CycleWitness]:
-    """Exchange cycles for one gap of a cycle spine, already validated
-    and filtered to those strictly longer than the spine.
+def improvement_candidates(cfg: AttachmentConfig, index: int) -> list[CycleWitness | PathWitness]:
+    """Exchange walks for one segment, validated as walks of the spine's
+    type and filtered to those strictly longer than the spine. On a cycle
+    spine segment j is the gap after attach point j; on a path spine
+    segments 0 and s are the end segments.
 
     The proofs pick one exchange per case split; here every applicable
     exchange is materialized and the caller takes the best, so no
     without-loss-of-generality choice is baked in.
     """
-    if cfg.kind is not ClassKind.GAMMA:
-        raise ValueError("cycle exchanges need a cycle spine")
-    s = len(cfg.attach_points)
-    if not 0 <= index < s:
-        raise ValueError(f"segment index {index} outside 0..{s - 1}")
-    spine = cfg.spine.vertices
-    pos = {v: i for i, v in enumerate(spine)}
-    P = cfg.path_p.vertices
-    nxt = (index + 1) % s
-    a, b = cfg.attach_points[index], cfg.attach_points[nxt]
-    ma, Ma = cfg.min_max_indices[index]
-    mb, Mb = cfg.min_max_indices[nxt]
-
-    raw: list[tuple[int, ...]] = []
-    if a != b:
-        outer = _arc(spine, pos[b], pos[a])
-        raw.append((a,) + _path_segment(P, ma, Mb) + (b,) + outer)
-        raw.append((b,) + _path_segment(P, mb, Ma) + (a,) + tuple(reversed(outer)))
-    hits = [v for v in cfg.segments[index] if cfg.graph.adj[cfg.u1] >> v & 1]
-    if hits:
-        w, wlast = hits[0], hits[-1]
-        raw.append((a,) + _path_segment(P, Ma, 1) + (w,) + _arc(spine, pos[w], pos[a]))
-        raw.append(_path_segment(P, 1, Mb) + (b,) + _arc(spine, pos[b], pos[wlast]) + (wlast,))
-    return _longer_than_spine(cfg, raw, CycleWitness)
-
-
-def pi_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[PathWitness]:
-    """Exchange paths for one segment of a path spine (index 0 and s are
-    the end segments), validated and filtered to order > spine."""
-    if cfg.kind is not ClassKind.PI:
-        raise ValueError("path exchanges need a path spine")
-    s = len(cfg.attach_points)
-    if not 0 <= index <= s:
-        raise ValueError(f"segment index {index} outside 0..{s}")
+    count = len(cfg.segments)
+    if not 0 <= index < count:
+        raise ValueError(f"segment index {index} outside 0..{count - 1}")
     spine = cfg.spine.vertices
     pos = {v: i for i, v in enumerate(spine)}
     P = cfg.path_p.vertices
     hits = [v for v in cfg.segments[index] if cfg.graph.adj[cfg.u1] >> v & 1]
+    s = len(cfg.attach_points)
     raw: list[tuple[int, ...]] = []
-    if index == 0:
+    if cfg.kind is ClassKind.GAMMA:
+        nxt = (index + 1) % s
+        a, b = cfg.attach_points[index], cfg.attach_points[nxt]
+        ma, Ma = cfg.min_max_indices[index]
+        mb, Mb = cfg.min_max_indices[nxt]
+        if a != b:
+            outer = _arc(spine, pos[b], pos[a])
+            raw.append((a,) + _path_segment(P, ma, Mb) + (b,) + outer)
+            raw.append((b,) + _path_segment(P, mb, Ma) + (a,) + tuple(reversed(outer)))
+        if hits:
+            w, wlast = hits[0], hits[-1]
+            raw.append((a,) + _path_segment(P, Ma, 1) + (w,) + _arc(spine, pos[w], pos[a]))
+            raw.append(_path_segment(P, 1, Mb) + (b,) + _arc(spine, pos[b], pos[wlast]) + (wlast,))
+    elif index == 0:
         b = cfg.attach_points[0]
         mb, Mb = cfg.min_max_indices[0]
         suffix = spine[pos[b] :]
@@ -318,91 +281,53 @@ def pi_improvement_candidates(cfg: AttachmentConfig, index: int) -> list[PathWit
         if hits:
             raw.append(prefix + tuple(reversed(P[:Ma])) + spine[pos[hits[0]] :])
             raw.append(spine[: pos[hits[-1]] + 1] + P[:Mb] + suffix)
-    return _longer_than_spine(cfg, raw, PathWitness)
+    ins = _first_insertion(cfg)
+    if ins is not None:
+        raw.append(ins)
+    walks = [type(cfg.spine)(verts) for verts in raw]
+    for wit in walks:
+        check_witness(cfg.graph, wit)
+    return [wit for wit in walks if wit.order > len(spine)]
 
 
-def _chain_fields(cfg: AttachmentConfig) -> tuple[int, int, bool]:
-    g = cfg.graph
-    k = cfg.k
-    n = g.n
-    delta = max(row.bit_count() for row in g.adj)
+def verify_claims(cfg: AttachmentConfig) -> ClaimReport:
+    """Check every segment inequality, size >= numerator/2 + 2 r_j, where
+    the numerator sums d and eps over the attach points bounding segment
+    j and an end segment of a path spine counts k for its open side. On a
+    violation take the best exchange walk, which must beat the spine or
+    something is broken.
+
+    The degree chain sums the gap inequalities into the class's degree
+    ceiling, so it holds exactly when the maximum degree is within
+    `theorem_max_degree`; failing it on an actual member means a bug.
+    """
+    g, k, kind = cfg.graph, cfg.k, cfg.kind
     measured = sum(cfg.d_pprime)
-    if cfg.kind is ClassKind.GAMMA:
-        lower = k * k - k + 1
-        holds = n - k - 2 * delta + 2 >= lower
-    else:
-        lower = k + (k - 2) * (k - 1)
-        holds = n - 2 * k - 2 * delta + 2 >= lower
-    return measured, lower, holds
-
-
-def _verify_claims(
-    cfg: AttachmentConfig,
-    count: int,
-    numerator: Callable[[int], int],
-    candidates: Callable[[AttachmentConfig, int], list],
-    what: str,
-) -> ClaimReport:
-    """Check segment j < count against numerator(j)/2 + 2 r_j; on a
-    violation take the best exchange walk from candidates(cfg, j), which
-    must beat the spine or something is broken."""
-    measured, lower, holds = _chain_fields(cfg)
-    if cfg.k == 1:
+    lower = k * k - k + 1 if kind is ClassKind.GAMMA else k + (k - 2) * (k - 1)
+    holds = max(row.bit_count() for row in g.adj) <= theorem_max_degree(g.n, ClassParams(k, kind))
+    if k == 1:
         return ClaimReport((), measured, lower, holds, None)
+    s = len(cfg.attach_points)
+    d, eps = cfg.d_pprime, cfg.eps
     records = []
     improvement = None
-    for j in range(count):
-        bound = Fraction(numerator(j), 2) + 2 * cfg.r[j]
+    for j in range(len(cfg.segments)):
+        if kind is ClassKind.GAMMA:
+            sides: tuple[int, ...] = (j, (j + 1) % s)
+        else:
+            sides = tuple(i for i in (j - 1, j) if 0 <= i < s)
+        numerator = sum(d[i] + eps[i] for i in sides) + k * (2 - len(sides))
+        bound = Fraction(numerator, 2) + 2 * cfg.r[j]
         size = len(cfg.segments[j])
         ok = size >= bound
         records.append(ClaimIndexRecord(j, size, bound, ok))
         if not ok:
-            cands = candidates(cfg, j)
+            cands = improvement_candidates(cfg, j)
             if not cands:
                 raise RuntimeError(
-                    f"{what} {j} is below its bound yet no exchange beat the spine"
+                    f"segment {j} is below its bound yet no exchange beat the spine"
                 )
             best = max(cands, key=lambda w: w.order)
             if improvement is None or best.order > improvement.order:
                 improvement = best
     return ClaimReport(tuple(records), measured, lower, holds, improvement)
-
-
-def verify_gamma_claim(cfg: AttachmentConfig) -> ClaimReport:
-    """Check every cyclic gap inequality; on violation return the best
-    exchange cycle, which must beat the spine or something is broken."""
-    if cfg.kind is not ClassKind.GAMMA:
-        raise ValueError("gamma claims need a cycle spine")
-    s = len(cfg.attach_points)
-    d, eps = cfg.d_pprime, cfg.eps
-    return _verify_claims(
-        cfg, s, lambda j: d[j] + d[(j + 1) % s] + eps[j] + eps[(j + 1) % s],
-        gamma_improvement_candidates, "gap",
-    )
-
-
-def verify_pi_claims(cfg: AttachmentConfig) -> ClaimReport:
-    """Check the two end-segment inequalities and the interior ones."""
-    if cfg.kind is not ClassKind.PI:
-        raise ValueError("pi claims need a path spine")
-    s = len(cfg.attach_points)
-    d, eps, k = cfg.d_pprime, cfg.eps, cfg.k
-
-    def numerator(j: int) -> int:
-        if j == 0:
-            return d[0] + k + eps[0]
-        if j == s:
-            return d[s - 1] + k + eps[s - 1]
-        return d[j - 1] + d[j] + eps[j - 1] + eps[j]
-
-    return _verify_claims(cfg, s + 1, numerator, pi_improvement_candidates, "segment")
-
-
-def degree_chain_audit(cfg: AttachmentConfig) -> ClaimReport:
-    """Re-derive the summation chain that turns the gap inequalities
-    into the degree ceiling. A failing chain on an actual member means
-    a bug somewhere: the proofs rule it out."""
-    if cfg.k < 2:
-        raise ValueError("degree chain is defined for k >= 2")
-    measured, lower, holds = _chain_fields(cfg)
-    return ClaimReport((), measured, lower, holds, None)

@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable, Sequence
 from typing import TextIO
 
-from .attachment import ClaimReport, ConfigError, build_config, verify_gamma_claim, verify_pi_claims
+from .attachment import ClaimReport, ConfigError, build_config, verify_claims
 from .graphs import Graph, vertex_connectivity
 from .membership import (
     DEFAULT_RULES,
@@ -198,8 +198,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"record {lineno} skipped: {exc}", file=sys.stderr)
             return
-        report = verify_gamma_claim(cfg) if kind is ClassKind.GAMMA else verify_pi_claims(cfg)
-        print(_claim_json(text, params, cfg.u1, report))
+        print(_claim_json(text, params, cfg.u1, verify_claims(cfg)))
 
     return _each_record(args.input, audit)
 

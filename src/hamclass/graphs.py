@@ -226,8 +226,10 @@ def closure_mask(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> 
     frontier = seen
     while frontier:
         grown = 0
-        for v in bits(frontier):
-            grown |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & allowed & ~seen
         seen |= frontier
     return seen

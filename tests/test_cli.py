@@ -217,20 +217,21 @@ def test_audit_reports_and_skips(monkeypatch, capsys):
 
 # sha256 of audit's stdout over every connected graph of order 1..8 (the
 # sorted graph6 of the corpus fixture), with the number of report lines
-AUDIT_CORPUS_PINS = {
-    "gamma": ("72757eaa3e23969cb92db8a33b841e23ba69558c6b0ff58fb26c35bb1c757218", 1501),
-    "pi": ("25d15290d39db848f9da3a840803fd0c7ce8a967927ccae2ecdf1c31fa1532bc", 308),
-}
+AUDIT_CORPUS_PINS = [
+    pytest.param("gamma", 2, "72757eaa3e23969cb92db8a33b841e23ba69558c6b0ff58fb26c35bb1c757218", 1501, id="gamma"),
+    pytest.param("pi", 2, "25d15290d39db848f9da3a840803fd0c7ce8a967927ccae2ecdf1c31fa1532bc", 308, id="pi"),
+    pytest.param("gamma", 3, "57ab26eff640b293d1e36c628cf6071bf892cf2598e6cb602caa9bc80c1902b2", 520, id="gamma-k3"),
+    pytest.param("pi", 3, "4e1f5d8e7083afc1634d651b3fca7e99e73a727462b432f7eb0a7022777569ad", 24, id="pi-k3"),
+]
 
 
-@pytest.mark.parametrize("kind", sorted(AUDIT_CORPUS_PINS))
-def test_audit_corpus_output_pinned(kind, corpus, tmp_path, capsys):
+@pytest.mark.parametrize(("kind", "k", "digest", "count"), AUDIT_CORPUS_PINS)
+def test_audit_corpus_output_pinned(kind, k, digest, count, corpus, tmp_path, capsys):
     target = tmp_path / "corpus.g6"
     lines = sorted(write_graph6(g) for graphs in corpus.values() for g in graphs)
     target.write_text("".join(line + "\n" for line in lines))
-    code, out, _ = run(capsys, ["audit", str(target), "--k", "2", "--class", kind])
+    code, out, _ = run(capsys, ["audit", str(target), "--k", str(k), "--class", kind])
     assert code == 0
-    digest, count = AUDIT_CORPUS_PINS[kind]
     assert len(out.splitlines()) == count
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

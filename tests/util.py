@@ -294,6 +294,19 @@ def min_perm_code(g: Graph) -> tuple[int, ...]:
     return best
 
 
+def brute_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """First permutation, in lexicographic order, with perm[v] the vertex
+    of h that vertex v of g maps to, carrying g onto h; None when the two
+    are not isomorphic. Exhaustive, for tiny orders only."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return None
+    edges = list(g.edges())
+    for perm in permutations(range(g.n)):
+        if all(h.adj[perm[u]] >> perm[v] & 1 for u, v in edges):
+            return perm
+    return None
+
+
 def sparse_attachment_graph(m: int, cuts: tuple[int, ...], kind: ClassKind) -> Graph:
     """Order-2 path hung off a spine of m vertices at well-separated spots.
 
