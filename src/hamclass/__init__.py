@@ -21,7 +21,7 @@ from .attachment import (
     verify_claims,
 )
 from .canon import are_isomorphic, canonical_form, canonical_graph6
-from .generate import GENERATION_CAP, generate_connected
+from .generate import GENERATION_CAP, generate_connected, subtree_roots
 from .graphs import (
     Graph,
     Graph6Error,
@@ -122,6 +122,7 @@ __all__ = [
     "petersen",
     "required_connectivity",
     "scan",
+    "subtree_roots",
     "theorem_max_degree",
     "verify_certificate",
     "verify_claims",

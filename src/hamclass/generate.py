@@ -48,6 +48,17 @@ ceiling). A child of order m is therefore dropped when the sum over its
 vertices of max(0, min_degree - degree) exceeds (n - m) * max_degree.
 That sum is a property of the class as well, so the budget is sound for
 the same reason as the relaxed floor.
+
+`subtree_roots` cuts the tree at the fixed order max(1, n - 3), as
+nauty's geng does with res/mod, so that the subtrees below its nodes can
+be grown independently (by worker processes in a scan). Every node of
+the tree has one parent, so each graph of order n has exactly one
+ancestor at the split order, and the subtrees partition the output.
+Whether a node is kept depends only on its own class and on the target
+order n (the relaxed floor and the budget use n, not the split order),
+so the roots are exactly the tree's nodes at that order, and growing
+them in depth-first order emits the sequence of one depth-first walk of
+the whole tree.
 """
 
 from __future__ import annotations
@@ -155,10 +166,12 @@ def _children(
             return
 
 
-def _grow(graph: Graph, n: int, max_degree: int | None, min_degree: int) -> Iterator[Graph]:
-    """graph itself at order n, else the graphs of order n in the window
-    that descend from it."""
-    if graph.n == n:
+def _grow(
+    graph: Graph, n: int, max_degree: int | None, min_degree: int, stop: int | None = None
+) -> Iterator[Graph]:
+    """graph itself at order `stop` (default n), else the nodes of that
+    order below it in the tree whose window is that of order n."""
+    if graph.n == (n if stop is None else stop):
         yield graph
         return
     m = graph.n + 1
@@ -170,16 +183,16 @@ def _grow(graph: Graph, n: int, max_degree: int | None, min_degree: int) -> Iter
         ):
             continue
         if _is_canonical(child):
-            yield from _grow(child, n, max_degree, min_degree)
+            yield from _grow(child, n, max_degree, min_degree, stop)
 
 
-def generate_connected(
+def subtree_roots(
     n: int, *, max_degree: int | None = None, min_degree: int = 0
 ) -> Iterator[Graph]:
-    """All connected graphs of order n, one per isomorphism class.
-
-    Only graphs with every degree in [min_degree, max_degree] are kept,
-    pruning during augmentation rather than filtering afterwards.
+    """The nodes of the augmentation tree for order n at order
+    max(1, n - 3), in depth-first order, for `generate_connected(...,
+    root=...)` to grow. They are yielded lazily; the one-vertex graph is
+    the only root for n <= 4.
     """
     if not 1 <= n <= min(GENERATION_CAP, MAX_ORDER):
         raise ValueError(f"order {n} outside 1..{GENERATION_CAP}")
@@ -189,4 +202,20 @@ def generate_connected(
         raise ValueError("negative degree floor")
     # _children applies the window to every graph but the one-vertex root
     if n > 1 or min_degree == 0:
-        yield from _grow(Graph(1, (0,)), n, max_degree, min_degree)
+        yield from _grow(Graph(1, (0,)), n, max_degree, min_degree, max(1, n - 3))
+
+
+def generate_connected(
+    n: int, *, max_degree: int | None = None, min_degree: int = 0, root: Graph | None = None
+) -> Iterator[Graph]:
+    """All connected graphs of order n, one per isomorphism class.
+
+    Only graphs with every degree in [min_degree, max_degree] are kept,
+    pruning during augmentation rather than filtering afterwards. The
+    graphs come subtree by subtree, below each of `subtree_roots`; with
+    `root`, one of those roots for the same n and window, only the graphs
+    of its subtree come.
+    """
+    roots = subtree_roots(n, max_degree=max_degree, min_degree=min_degree) if root is None else (root,)
+    for node in roots:
+        yield from _grow(node, n, max_degree, min_degree)

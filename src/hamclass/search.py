@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
-from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, as_completed, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
-from .generate import GENERATION_CAP, generate_connected
+from .generate import GENERATION_CAP, generate_connected, subtree_roots
 # degree_profile and vertex_connectivity are called from .membership; they
 # stay bound here because perfbench/tracer.py wraps them in this module
 from .graphs import (
@@ -326,7 +326,7 @@ class RecordReader:
 
 
 def _decide_chunk(
-    graphs: list[Graph], params: ClassParams, rules: frozenset[str]
+    graphs: Iterable[Graph], params: ClassParams, rules: frozenset[str]
 ) -> tuple[dict[str, int], int, list[str]]:
     counts: dict[str, int] = {}
     decided = 0
@@ -342,23 +342,34 @@ def _decide_chunk(
     return counts, decided, members
 
 
+def _decide_subtree(
+    root: Graph, n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
+) -> tuple[dict[str, int], int, list[str]]:
+    """`_decide_chunk` over the graphs generated below one subtree root."""
+    graphs = generate_connected(n, max_degree=cap, min_degree=floor, root=root)
+    return _decide_chunk(graphs, params, rules)
+
+
 def _chunk_reports(
-    pool: Executor | None, depth: int, chunks: Iterable[list[Graph]], *args: object
+    pool: Executor | None, depth: int, task: Callable, units: Iterable, *args: object
 ) -> Iterator[tuple[dict[str, int], int, list[str]]]:
-    """`_decide_chunk(chunk, *args)` for each chunk, in order: in this
-    process without a pool, else with at most `depth` chunks in flight.
-    (`Executor.map` would submit every chunk, reading a whole stream,
-    before it yields the first result.)"""
-    pending: deque = deque()
-    for chunk in chunks:
+    """`task(unit, *args)` for each unit: in this process, in order, without
+    a pool, else with at most `depth` units in flight, each report yielded
+    as soon as its unit is done, so that one long unit does not hold back
+    the units behind it. (`Executor.map` would submit every unit, reading
+    a whole stream, before it yields the first result.)"""
+    pending: set = set()
+    for unit in units:
         if pool is None:
-            yield _decide_chunk(chunk, *args)
+            yield task(unit, *args)
             continue
-        pending.append(pool.submit(_decide_chunk, chunk, *args))
+        pending.add(pool.submit(task, unit, *args))
         if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield future.result()
+    for future in as_completed(pending):
+        yield future.result()
 
 
 def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, workers: int = 1) -> EmptinessReport:
@@ -366,11 +377,14 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
 
     The degree window of the enabled rules (`degree_window`) is pushed
     into the generator: graphs outside it are never materialized, so they
-    appear in no count. Graphs are decided in chunks of 256, in this
-    process for one worker or a single chunk and in a process pool
-    otherwise, with at most two chunks per worker in flight; chunk reports
-    merge commutatively and members_found is sorted, making the report
-    independent of completion order.
+    appear in no count. The work is cut into units: for the generator,
+    the subtrees below `subtree_roots`, each grown and decided where it
+    runs; for a stream, chunks of 256 records. Units run in this process
+    for one worker or a single unit, and otherwise in a pool of at most
+    min(workers, os.cpu_count()) processes, with at most two units per
+    process in flight, each report taken as its unit finishes. Unit
+    reports merge commutatively and members_found is sorted, making the
+    report independent of where and in what order the units ran.
     """
     start = time.perf_counter()
     reader = None
@@ -378,30 +392,35 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
         if stream is None:
             raise ValueError("stream source needs an input stream")
         reader = RecordReader(stream, spec.n)
-        graphs: Iterator[Graph] = (g for _, _, g in reader)
+        graphs = (g for _, _, g in reader)
+        units: Iterator = iter(lambda: list(islice(graphs, 256)), [])
+        task: Callable = _decide_chunk
+        args: tuple = (spec.params, spec.prune_rules)
     else:
         floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
         if cap is not None and cap < 0:
-            graphs = iter(())
+            units = iter(())
         else:
-            graphs = generate_connected(spec.n, max_degree=cap, min_degree=floor)
+            units = subtree_roots(spec.n, max_degree=cap, min_degree=floor)
+        task = _decide_subtree
+        args = (spec.n, floor, cap, spec.params, spec.prune_rules)
 
     pruned = {rule: 0 for rule in RULE_ORDER if rule in spec.prune_rules}
     decided = 0
     members: list[str] = []
-    chunks = iter(lambda: list(islice(graphs, 256)), [])
-    # a pool pays off only when there is a second chunk to share out
-    head = list(islice(chunks, 2))
-    chunks = chain(head, chunks)
-    parallel = workers > 1 and len(head) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for block_counts, block_decided, block_members in _chunk_reports(
-            pool, 2 * workers, chunks, spec.params, spec.prune_rules
+    processes = min(workers, os.cpu_count() or 1)
+    # a pool pays off only when there is a second unit to share out
+    head = list(islice(units, 2))
+    units = chain(head, units)
+    parallel = processes > 1 and len(head) > 1
+    with ProcessPoolExecutor(max_workers=processes) if parallel else nullcontext() as pool:
+        for unit_counts, unit_decided, unit_members in _chunk_reports(
+            pool, 2 * processes, task, units, *args
         ):
-            for rule, c in block_counts.items():
+            for rule, c in unit_counts.items():
                 pruned[rule] += c
-            decided += block_decided
-            members.extend(block_members)
+            decided += unit_decided
+            members.extend(unit_members)
     wall = time.perf_counter() - start
     total = sum(pruned.values()) + decided
     skipped = 0 if reader is None else reader.skipped

@@ -31,6 +31,12 @@ The handoff cannot change a witness:
 - when no spanning walk exists, the incumbent is the one the branch and
   bound would have kept, since it replaces an incumbent only with a
   strictly longer walk.
+
+The branch and bound starts from a seed cycle that `extend_cycle` grows
+by outside detours. Its detour search skips a step from which the far end
+of the cycle edge cannot be reached; that drops only branches that fail
+and keeps the ascending order, so every seed cycle, and with it every
+witness, is the one the unpruned search gives.
 """
 
 from __future__ import annotations
@@ -190,8 +196,8 @@ def hamilton_path(g: Graph) -> PathWitness | None:
 # exact longest walks, branch and bound
 
 
-def _seed_cycle(g: Graph) -> CycleWitness | None:
-    """Deterministic cheap cycle: first DFS back-edge, then greedy extension."""
+def _dfs_cycle(g: Graph) -> CycleWitness | None:
+    """Deterministic cheap cycle: the first DFS back-edge's cycle."""
     n = g.n
     adj = g.adj
     parent = [-1] * n
@@ -221,9 +227,14 @@ def _seed_cycle(g: Graph) -> CycleWitness | None:
     for root in range(n):
         if color[root] == 0 and cyc is None:
             dfs(root)
-    if cyc is None:
+    return None if cyc is None else CycleWitness(cyc)
+
+
+def _seed_cycle(g: Graph) -> CycleWitness | None:
+    """The first DFS cycle, extended by `extend_cycle` while it can be."""
+    seed = _dfs_cycle(g)
+    if seed is None:
         return None
-    seed = CycleWitness(cyc)
     while True:
         longer = extend_cycle(g, seed)
         if longer is None:
@@ -365,7 +376,9 @@ def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
 
     For each cycle edge in order, the first ascending outside path joining
     its endpoints replaces it. Single-vertex insertion is the length-1 case.
-    Cheap incumbent improver, not an exact step.
+    Cheap incumbent improver, not an exact step. A step is skipped when no
+    outside neighbour of the far endpoint is reachable from it through the
+    unused outside vertices.
     """
     if not is_cycle_in(g, cyc.vertices):
         raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
@@ -379,22 +392,29 @@ def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
     for i in range(L):
         a = cyc.vertices[i]
         b = cyc.vertices[(i + 1) % L]
+        starts = adj[a] & outside
+        ends = adj[b] & outside
+        if not (starts and ends):
+            continue
         detour: list[int] = []
 
         def dig(u: int, seen: int) -> bool:
             if adj[u] >> b & 1:
                 return True
-            for w in bits(adj[u] & outside & ~seen):
+            # a step from which no outside neighbour of b is reachable
+            # through unused outside vertices can only fail; reach is
+            # symmetric, so one closure from those neighbours finds the rest
+            free = outside & ~seen
+            for w in bits(adj[u] & closure_mask(adj, free, ends)):
                 detour.append(w)
                 if dig(w, seen | (1 << w)):
                     return True
                 detour.pop()
             return False
 
-        for w0 in bits(adj[a] & outside):
+        for w0 in bits(starts & closure_mask(adj, outside, ends)):
             detour[:] = [w0]
             if dig(w0, 1 << w0):
                 new = cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :]
                 return CycleWitness(new)
     return None
-

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from hamclass.canon import canonical_form
-from hamclass.generate import generate_connected
+from hamclass.generate import generate_connected, subtree_roots
 from hamclass.graphs import Graph, degree_profile, is_connected, write_graph6
 from util import automorphism_count, generate_connected_reference, min_perm_code
 
@@ -110,8 +110,31 @@ def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
         graphs = corpus[n]
     else:
         graphs = generate_connected(n, max_degree=hi, min_degree=lo)
-    expected = generate_connected_reference(n, max_degree=hi, min_degree=lo)
-    assert [write_graph6(g) for g in graphs] == [write_graph6(g) for g in expected]
+    expected = [write_graph6(g) for g in generate_connected_reference(n, max_degree=hi, min_degree=lo)]
+    assert [write_graph6(g) for g in graphs] == expected
+    # the subtrees below the split-level roots, grown one by one, give the
+    # same sequence: each graph once, in depth-first order
+    roots = list(subtree_roots(n, max_degree=hi, min_degree=lo))
+    assert {root.n for root in roots} == {max(1, n - 3)}
+    sharded = [
+        write_graph6(g)
+        for root in roots
+        for g in generate_connected(n, max_degree=hi, min_degree=lo, root=root)
+    ]
+    assert sharded == expected
+
+
+def test_subtree_roots():
+    # one root, the one-vertex graph, up to order 4
+    for n in range(1, 5):
+        assert list(subtree_roots(n)) == [Graph(1, (0,))]
+    assert list(subtree_roots(1, min_degree=1)) == []
+    # without a window the roots for order 7 are the connected graphs of
+    # order 4
+    assert len(list(subtree_roots(7))) == CONNECTED_COUNTS[4]
+    assert len(list(subtree_roots(10, max_degree=3, min_degree=3))) == 64
+    with pytest.raises(ValueError):
+        list(subtree_roots(11))
 
 
 # connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)

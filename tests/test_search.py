@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import threading
 import tracemalloc
 from concurrent.futures import Executor, Future
 
 import pytest
 
 import hamclass.search as search
-from hamclass.generate import generate_connected
+from hamclass.generate import generate_connected, subtree_roots
 from hamclass.graphs import (
     Graph,
     complete_bipartite,
@@ -33,6 +35,27 @@ from util import generalized_petersen, rule_reference
 
 G1 = ClassParams(1, ClassKind.GAMMA)
 P1 = ClassParams(1, ClassKind.PI)
+
+
+class InlineExecutor(Executor):
+    """Stands in for ProcessPoolExecutor: runs each task when it is
+    submitted, in this process, and starts no process."""
+
+    future_type = Future
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks.append(fn)
+        future = self.future_type()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def strip(report):
+    return dataclasses.replace(report, wall_seconds=0.0)
 
 
 def test_scanspec_validation():
@@ -126,21 +149,25 @@ def test_scan_deterministic_and_parallel_agree():
     a = scan(spec)
     b = scan(spec)
     c = scan(spec, workers=2)
-    strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
     assert strip(a) == strip(b) == strip(c)
 
 
 def test_scan_one_chunk_starts_no_pool(monkeypatch):
+    # one unit, whatever the worker count: a stream of one chunk, and a
+    # generator scan whose tree has one subtree root (orders up to 4)
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk scan started a process pool")
+        raise AssertionError("a one-unit scan started a process pool")
 
-    spec = ScanSpec(10, G1, prune_rules=frozenset(RULE_ORDER))
-    serial = scan(spec)
-    assert serial.total_examined <= 256
+    lines = [write_graph6(petersen()), write_graph6(cycle_graph(10))] * 100
+    stream_spec = ScanSpec(10, G1, source="stream")
+    gen_spec = ScanSpec(4, G1, prune_rules=frozenset())
+    assert len(list(subtree_roots(4))) == 1
+    serial = [scan(stream_spec, lines), scan(gen_spec)]
+    assert serial[1].total_examined == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-    strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
-    assert strip(scan(spec, workers=2)) == strip(serial)
-
+    parallel = [scan(stream_spec, lines, workers=2), scan(gen_spec, workers=2)]
+    assert list(map(strip, parallel)) == list(map(strip, serial))
 
 
 def test_parallel_scan_reads_stream_boundedly(monkeypatch):
@@ -161,21 +188,176 @@ def test_parallel_scan_reads_stream_boundedly(monkeypatch):
             taken.append(read)
             return super().result(timeout)
 
-    class InlineExecutor(Executor):
-        def __init__(self, max_workers):
-            pass
+    class RecordingExecutor(InlineExecutor):
+        future_type = RecordingFuture
 
-        def submit(self, fn, /, *args, **kwargs):
-            future = RecordingFuture()
-            future.set_result(fn(*args, **kwargs))
-            return future
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
     report = scan(ScanSpec(5, G1, source="stream"), stream(), workers=workers)
     assert report.total_examined == chunks * 256
     assert report.pruned_per_rule["min_degree"] == chunks * 256
     assert len(taken) == chunks
     assert taken[0] <= (2 * workers + 1) * 256
+
+
+def report_line(report):
+    spec = report.spec
+    return json.dumps(
+        [
+            spec.n,
+            spec.params.kind.value,
+            spec.params.k,
+            sorted(spec.prune_rules),
+            report.total_examined,
+            report.pruned_per_rule,
+            report.fully_decided,
+            list(report.members_found),
+            report.skipped_records,
+        ]
+    )
+
+
+def scan_grid():
+    """Generator scans of orders 4-9, both classes, k in {1, 2}, default and
+    all rules, and the census scan of order 10 with all rules."""
+    for n in range(4, 10):
+        for kind in ClassKind:
+            for k in (1, 2):
+                for rules in (DEFAULT_RULES, frozenset(RULE_ORDER)):
+                    try:
+                        yield ScanSpec(n, ClassParams(k, kind), prune_rules=rules)
+                    except ValueError:
+                        continue  # no room for a walk of the target length
+    yield ScanSpec(10, G1, prune_rules=frozenset(RULE_ORDER))
+
+
+# (count, sha256 of the report lines) of `scan_grid`, recorded before the
+# generator was split into subtrees
+SCAN_GRID_DIGEST = (47, "6278dea028291b2f31ee3ab4d63210fcdcc1aa46b75b5b2a1e4bdfdc084a2ce3")
+
+
+def test_sharded_scan_grid_pinned(monkeypatch):
+    pools = []
+
+    def executor(max_workers):
+        pools.append(InlineExecutor(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
+    lines = []
+    for spec in scan_grid():
+        sharded = scan(spec, workers=2)
+        if spec.n <= 8:
+            assert strip(scan(spec)) == strip(sharded)
+        lines.append(report_line(sharded))
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == SCAN_GRID_DIGEST
+    # every pool received subtree tasks, never chunks of generated graphs
+    assert pools and all(pool.tasks and set(pool.tasks) == {search._decide_subtree} for pool in pools)
+
+
+def test_sharded_scan_real_pool_agrees():
+    for spec in (ScanSpec(9, G1), ScanSpec(10, G1, prune_rules=frozenset(RULE_ORDER))):
+        assert strip(scan(spec, workers=2)) == strip(scan(spec))
+
+
+def test_generator_scan_holds_boundedly_many_subtrees(monkeypatch):
+    # roots are submitted as they are read, so before the i-th result is
+    # taken at most (roots read) - i subtree tasks are in flight
+    workers = 2
+    read = 0
+    taken = []
+    real_roots = search.subtree_roots
+
+    def roots(*args, **kwargs):
+        nonlocal read
+        for root in real_roots(*args, **kwargs):
+            read += 1
+            yield root
+
+    class RecordingFuture(Future):
+        def result(self, timeout=None):
+            taken.append(read)
+            return super().result(timeout)
+
+    class RecordingExecutor(InlineExecutor):
+        future_type = RecordingFuture
+
+    spec = ScanSpec(9, ClassParams(2, ClassKind.GAMMA))
+    serial = scan(spec)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(search, "subtree_roots", roots)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
+    assert strip(scan(spec, workers=workers)) == strip(serial)
+    assert read == len(taken) == 29
+    assert max(r - i for i, r in enumerate(taken)) == 2 * workers
+
+
+def test_long_unit_does_not_hold_back_the_rest(monkeypatch):
+    # the first subtree's report is held back until every other subtree
+    # has been submitted; a loop taking reports in submission order would
+    # stall at 2 x workers in flight, and the timer releases it after 5 s
+    workers, roots = 2, 29
+    held = Future()
+    released = []
+
+    def release(by, result):
+        if not held.done():
+            released.append(by)
+            held.set_result(result)
+
+    class HoldFirstExecutor(InlineExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            if self.tasks:
+                future = super().submit(fn, *args, **kwargs)
+                if len(self.tasks) == roots:
+                    release("last submit", self.first)
+                return future
+            self.tasks.append(fn)
+            self.first = fn(*args, **kwargs)
+            self.timer = threading.Timer(5, release, ("timer", self.first))
+            self.timer.start()
+            return held
+
+    pools = []
+
+    def executor(max_workers):
+        pools.append(HoldFirstExecutor(max_workers))
+        return pools[-1]
+
+    spec = ScanSpec(9, ClassParams(2, ClassKind.GAMMA))
+    serial = scan(spec)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
+    try:
+        assert strip(scan(spec, workers=workers)) == strip(serial)
+    finally:
+        pools[0].timer.cancel()
+    assert len(pools[0].tasks) == roots
+    assert released == ["last submit"]
+
+
+def test_pool_size_capped_by_cpu_count(monkeypatch):
+    sizes = []
+
+    def executor(max_workers):
+        sizes.append(max_workers)
+        return InlineExecutor(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
+    spec = ScanSpec(7, P1)  # six subtree roots
+    lines = [write_graph6(cycle_graph(5))] * 600
+    stream_spec = ScanSpec(5, G1, source="stream")
+    for workers in (2, 3, 5000):
+        scan(spec, workers=workers)
+        scan(stream_spec, lines, workers=workers)
+    assert sizes == [2, 2, 3, 3, 3, 3]
+    # without a known CPU count one process is all there is: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    scan(spec, workers=5000)
+    assert sizes == [2, 2, 3, 3, 3, 3]
+
 
 def test_prune_soundness_small():
     for params in (G1, P1):
@@ -224,7 +406,6 @@ def test_stream_scan_serial_and_parallel_agree(connected_to_order_7):
     serial = scan(spec, lines, workers=1)
     parallel = scan(spec, lines, workers=2)
     assert serial.total_examined == 853 and serial.skipped_records == 1
-    strip = lambda r: dataclasses.replace(r, wall_seconds=0.0)
     assert strip(serial) == strip(parallel)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from hamclass.canon import marked_code
 from hamclass.graphs import Graph, bits, closure_mask, induced_subgraph, mask_of, trusted_graph
 from hamclass.membership import ClassKind, ClassParams
-from hamclass.walks import hamilton_cycle, hamilton_path
+from hamclass.walks import CycleWitness, WitnessError, hamilton_cycle, hamilton_path, is_cycle_in
 
 
 def ref_graph6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -512,3 +512,37 @@ def circumference_dp_oracle(g: Graph) -> int:
             for w in bits(grow):
                 ends[mask | (1 << w)] |= 1 << w
     return best
+
+
+def extend_cycle_reference(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
+    """`walks.extend_cycle` before its reach prune: the detour search
+    tries every simple path of the outside region, including regions that
+    cannot reach the far endpoint. Its result is what `extend_cycle`
+    must return."""
+    if not is_cycle_in(g, cyc.vertices):
+        raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
+    adj = g.adj
+    outside = g.vertex_mask & ~mask_of(cyc.vertices)
+    if not outside:
+        return None
+    L = len(cyc.vertices)
+    for i in range(L):
+        a = cyc.vertices[i]
+        b = cyc.vertices[(i + 1) % L]
+        detour: list[int] = []
+
+        def dig(u: int, seen: int) -> bool:
+            if adj[u] >> b & 1:
+                return True
+            for w in bits(adj[u] & outside & ~seen):
+                detour.append(w)
+                if dig(w, seen | (1 << w)):
+                    return True
+                detour.pop()
+            return False
+
+        for w0 in bits(adj[a] & outside):
+            detour[:] = [w0]
+            if dig(w0, 1 << w0):
+                return CycleWitness(cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :])
+    return None
