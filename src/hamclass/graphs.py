@@ -307,17 +307,14 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
         return _connectivity_below(g, at_most)
     if not is_connected(g):
         return 0
-    full = g.vertex_mask
-    if all(g.adj[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1
+    # a complete graph has no non-adjacent pair and keeps n - 1; in a
+    # connected graph every pair has a path, so no flow is 0
     best = n - 1
     for s in range(n):
         for t in range(s + 1, n):
             if g.adj[s] >> t & 1:
                 continue
             best = min(best, _disjoint_paths(g, s, t, best))
-            if best == 0:
-                return 0
     return best
 
 

@@ -155,21 +155,19 @@ def certify(g: Graph, params: ClassParams, *, include_walks: bool = True) -> Cer
     per-deletion walks structurally.
     """
     verdict = membership(g, params, collect_walks=include_walks)
-    g6 = write_graph6(g)
     if verdict.member:
-        walks = (
-            None
-            if verdict.deletion_walks is None
-            else tuple(w.vertices for w in verdict.deletion_walks)
-        )
-        return Certificate(g6, params.kind, params.k, "member", None, verdict.found_length, None, walks)
-    if verdict.reason == WRONG_LENGTH:
-        walks = None if verdict.witness is None else (verdict.witness.vertices,)
-        return Certificate(
-            g6, params.kind, params.k, "refuted", WRONG_LENGTH, verdict.found_length, None, walks
-        )
+        walks = verdict.deletion_walks
+    else:
+        walks = None if verdict.witness is None else (verdict.witness,)
     return Certificate(
-        g6, params.kind, params.k, "refuted", BAD_DELETION_SET, None, verdict.bad_set, None
+        write_graph6(g),
+        params.kind,
+        params.k,
+        "member" if verdict.member else "refuted",
+        verdict.reason,
+        verdict.found_length,
+        verdict.bad_set,
+        None if walks is None else tuple(w.vertices for w in walks),
     )
 
 

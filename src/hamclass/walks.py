@@ -33,10 +33,13 @@ The handoff cannot change a witness:
   strictly longer walk.
 
 The branch and bound starts from a seed cycle that `extend_cycle` grows
-by outside detours. Its detour search skips a step from which the far end
-of the cycle edge cannot be reached; that drops only branches that fail
-and keeps the ascending order, so every seed cycle, and with it every
-witness, is the one the unpruned search gives.
+by outside detours. For each cycle edge it walks greedily from one end,
+always to the smallest outside neighbour from which an outside neighbour
+of the far end is still reachable through unused outside vertices. Some
+such step exists until the far end is adjacent, so the walk never needs
+to backtrack, and it is the first detour of the ascending depth-first
+search: every seed cycle, and with it every witness, is the one that
+search gives.
 """
 
 from __future__ import annotations
@@ -167,11 +170,11 @@ def hamilton_path(g: Graph) -> PathWitness | None:
             return None
         if closure_mask(adj, unused, cands) != unused:
             return None
+        # a >= 1 for every x: the closure above reached x from u or over an
+        # edge from another unused vertex
         short = 0
         for x in bits(unused):
             a = (adj[x] & (unused | (1 << u))).bit_count()
-            if a == 0:
-                return None
             if a == 1:
                 short += 1
                 if short > 1:
@@ -374,47 +377,37 @@ def longest_induced_path_from(g: Graph, v: int, stop_at: int | None = None) -> P
 def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
     """One strictly longer cycle via an outside detour, or None.
 
-    For each cycle edge in order, the first ascending outside path joining
-    its endpoints replaces it. Single-vertex insertion is the length-1 case.
-    Cheap incumbent improver, not an exact step. A step is skipped when no
-    outside neighbour of the far endpoint is reachable from it through the
-    unused outside vertices.
+    For each cycle edge (a, b) in order, the first ascending outside path
+    joining its endpoints replaces it (single-vertex insertion is the
+    length-1 case). That path is the greedy walk from a that steps each
+    time to the smallest outside neighbour from which b's outside
+    neighbours are still reachable through unused outside vertices: until
+    the walk is beside b, the next vertex of a shortest way there always
+    qualifies, so the ascending search never backtracks. Cheap incumbent
+    improver, not an exact step.
     """
     if not is_cycle_in(g, cyc.vertices):
         raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
-    n = g.n
     adj = g.adj
-    cmask = mask_of(cyc.vertices)
-    outside = g.vertex_mask & ~cmask
+    outside = g.vertex_mask & ~mask_of(cyc.vertices)
     if not outside:
         return None
     L = len(cyc.vertices)
     for i in range(L):
         a = cyc.vertices[i]
         b = cyc.vertices[(i + 1) % L]
-        starts = adj[a] & outside
         ends = adj[b] & outside
-        if not (starts and ends):
+        if not (adj[a] & outside and ends):
             continue
         detour: list[int] = []
-
-        def dig(u: int, seen: int) -> bool:
+        u, free = a, outside
+        # one closure from b's outside neighbours marks every vertex that can
+        # still reach them (reach is symmetric); only a first step can fail
+        while step := adj[u] & closure_mask(adj, free, ends):
+            low = step & -step
+            u = low.bit_length() - 1
+            detour.append(u)
+            free ^= low
             if adj[u] >> b & 1:
-                return True
-            # a step from which no outside neighbour of b is reachable
-            # through unused outside vertices can only fail; reach is
-            # symmetric, so one closure from those neighbours finds the rest
-            free = outside & ~seen
-            for w in bits(adj[u] & closure_mask(adj, free, ends)):
-                detour.append(w)
-                if dig(w, seen | (1 << w)):
-                    return True
-                detour.pop()
-            return False
-
-        for w0 in bits(starts & closure_mask(adj, outside, ends)):
-            detour[:] = [w0]
-            if dig(w0, 1 << w0):
-                new = cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :]
-                return CycleWitness(new)
+                return CycleWitness(cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :])
     return None

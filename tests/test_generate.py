@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from hamclass.canon import canonical_form
+from hamclass.canon import canonical_form, marked_code
 from hamclass.generate import generate_connected, subtree_roots
 from hamclass.graphs import Graph, degree_profile, is_connected, write_graph6
 from util import automorphism_count, generate_connected_reference, min_perm_code
@@ -165,3 +165,9 @@ def test_degenerate_arguments():
     assert list(generate_connected(1, min_degree=1)) == []
     assert list(generate_connected(4, min_degree=4)) == []
     assert len(list(generate_connected(4, min_degree=3))) == 1
+    assert list(generate_connected(5, max_degree=2, min_degree=3)) == []
+    # a parent vertex already at the ceiling but below the relaxed floor
+    # leaves no child at all; the degree-deficit budget drops every other
+    # such parent, so only the one-vertex root under a zero ceiling is one
+    assert list(generate_connected(2, max_degree=0, min_degree=1)) == []
+    assert marked_code(Graph(1, (0,)), 0) == (0,)

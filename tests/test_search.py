@@ -419,6 +419,8 @@ def test_certify_petersen_member():
     for drop, walk in enumerate(cert.witness_walks):
         assert len(walk) == 9 and drop not in walk
     assert verify_certificate(cert)
+    # without walks the member is re-decided
+    assert verify_certificate(certify(petersen(), G1, include_walks=False))
 
 
 def test_certify_refutations():
@@ -478,6 +480,8 @@ def test_fabricated_member_certificate_rejected():
     cert = Certificate(write_graph6(k5), ClassKind.GAMMA, 1, "member", None, 4, None, tuple(walks))
     # every per-deletion walk replays fine; only the exact length check can say no
     assert not verify_certificate(cert)
+    # nor can a walkless claim pass: it is re-decided
+    assert not verify_certificate(dataclasses.replace(cert, witness_walks=None))
 
 
 def test_member_replay_counts_walks_in_bounded_memory():
@@ -514,15 +518,54 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(dataclasses.replace(cert, witness_walks=tuple(walks)))
     assert not verify_certificate(dataclasses.replace(cert, verdict="refuted"))
     assert not verify_certificate(dataclasses.replace(cert, found_length=8))
+    assert not verify_certificate(dataclasses.replace(cert, reason="wrong_length"))
+    assert not verify_certificate(dataclasses.replace(cert, witness_set=(0,)))
+    # 10 - 8 leaves 2 vertices, too few for a cycle; a path needs at least 1
+    assert not verify_certificate(dataclasses.replace(cert, k=8))
+    assert not verify_certificate(dataclasses.replace(cert, kind=ClassKind.PI, k=10))
 
     k5 = certify(complete_graph(5), G1)
     assert not verify_certificate(dataclasses.replace(k5, found_length=4))
     assert not verify_certificate(dataclasses.replace(k5, reason="bad_deletion_set"))
+    assert not verify_certificate(dataclasses.replace(k5, witness_walks=k5.witness_walks * 2))
+
+    # C6 as a cycle-class record: its Hamilton cycle is too long for k = 1
+    c6 = certify(cycle_graph(6), G1)
+    assert c6.reason == "wrong_length" and c6.witness_walks == ((0, 1, 2, 3, 4, 5),)
+    assert verify_certificate(c6)
+    assert not verify_certificate(dataclasses.replace(c6, witness_walks=((0, 2, 4, 1, 3, 5),)))
 
     star = certify(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), P1)
     assert not verify_certificate(dataclasses.replace(star, witness_set=(1,)))
     assert not verify_certificate(dataclasses.replace(star, witness_set=(0, 0)))
     assert not verify_certificate(dataclasses.replace(star, witness_set=(9,)))
+
+
+def _member_walk_variants(walk, n):
+    """The walk with its first vertex out of range, negative, or repeating
+    the second; the length and the vertices it leaves out are kept."""
+    rest = walk[1:]
+    return [(n,) + rest, (-1,) + rest, (walk[1],) + rest]
+
+
+def test_member_walk_with_bad_vertices_fails():
+    # Petersen: every walk is disjoint from its one-vertex deletion set and
+    # has the target length, so the cycle check is what rejects it
+    cert = certify(petersen(), G1)
+    walks = cert.witness_walks
+    for bad in _member_walk_variants(walks[0], 10):
+        assert 0 not in bad and len(bad) == 9
+        assert not verify_certificate(dataclasses.replace(cert, witness_walks=(bad,) + walks[1:]))
+
+    # the star K_{1,3} has detour order 3 = n - 1, so a fabricated path
+    # member gets as far as its first per-deletion walk (the one that
+    # leaves out vertex 0), and the path check rejects it
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    others = ((2, 0, 3), (1, 0, 3), (1, 0, 2))
+    for bad in _member_walk_variants((1, 2, 3), 4):
+        assert 0 not in bad and len(bad) == 3
+        cert = Certificate(write_graph6(star), ClassKind.PI, 1, "member", None, 3, None, (bad,) + others)
+        assert not verify_certificate(cert)
 
 
 def test_parse_certificate_format_errors():
