@@ -20,7 +20,7 @@ from .attachment import (
     consecutive_neighbor_check,
     verify_claims,
 )
-from .canon import are_isomorphic, canonical_form, canonical_graph6
+from .canon import canonical_form
 from .generate import GENERATION_CAP, generate_connected, subtree_roots
 from .graphs import (
     Graph,
@@ -41,11 +41,8 @@ from .membership import (
     ClassKind,
     ClassParams,
     MembershipVerdict,
-    check_induced_path_property,
     connectivity_requirement,
     emptiness_threshold,
-    is_hypohamiltonian,
-    is_hypotraceable,
     membership,
     parameter_emptiness,
     required_connectivity,
@@ -91,12 +88,9 @@ __all__ = [
     "PathWitness",
     "ScanSpec",
     "WitnessError",
-    "are_isomorphic",
     "build_config",
     "canonical_form",
-    "canonical_graph6",
     "certify",
-    "check_induced_path_property",
     "check_witness",
     "circumference",
     "complete_bipartite",
@@ -112,8 +106,6 @@ __all__ = [
     "hamilton_path",
     "induced_subgraph",
     "is_connected",
-    "is_hypohamiltonian",
-    "is_hypotraceable",
     "membership",
     "parameter_emptiness",
     "parse_certificate",

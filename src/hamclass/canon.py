@@ -31,7 +31,7 @@ everything is exact at any order the Graph type accepts, just slower.
 
 from __future__ import annotations
 
-from .graphs import Graph, mask_of, write_graph6
+from .graphs import Graph, mask_of
 
 Cells = list[tuple[int, ...]]
 
@@ -174,16 +174,6 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 def automorphism_generators(g: Graph) -> list[list[int]]:
     """Permutations (gamma[v] is the image of v) that generate Aut(g)."""
     return _search(g.n, g.adj, [tuple(range(g.n))])[1]
-
-
-def canonical_graph6(g: Graph) -> str:
-    return write_graph6(Graph(g.n, canonical_form(g)))
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count() != b.edge_count():
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 def marked_code(g: Graph, x: int) -> tuple[int, ...]:

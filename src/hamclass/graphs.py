@@ -350,7 +350,8 @@ def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:
             if i is not None:
                 row |= 1 << i
         rows.append(row)
-    return Graph(len(keep_list), tuple(rows))
+    # rows copied from a checked graph stay symmetric and loop-free
+    return trusted_graph(len(keep_list), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .walks import (
     detour_order,
     hamilton_cycle,
     hamilton_path,
-    longest_induced_path_from,
 )
 
 WRONG_LENGTH = "wrong_length"
@@ -111,33 +110,6 @@ def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) ->
     return MembershipVerdict(
         True, None, target, None, None, tuple(walks) if walks is not None else None
     )
-
-
-def is_hypohamiltonian(g: Graph) -> bool:
-    if g.n < 4:
-        return False
-    return membership(g, ClassParams(1, ClassKind.GAMMA)).member
-
-
-def is_hypotraceable(g: Graph) -> bool:
-    if g.n < 4:
-        return False
-    return membership(g, ClassParams(1, ClassKind.PI)).member
-
-
-def check_induced_path_property(g: Graph, k: int) -> int | None:
-    """Smallest vertex heading no induced path of order k+1, or None.
-
-    Members with k >= 2 must have such a path from every vertex, so a
-    returned vertex refutes membership.
-    """
-    if k < 2:
-        raise ValueError("induced-path property applies for k >= 2")
-    want = k + 1
-    for v in range(g.n):
-        if longest_induced_path_from(g, v, stop_at=want).order < want:
-            return v
-    return None
 
 
 def required_connectivity(params: ClassParams) -> int:

@@ -15,6 +15,13 @@ by vertices short of free neighbours. `hamilton_cycle` needs no separate
 pass for the edges forced at a degree-2 vertex: once a neighbour of it
 other than vertex 0 is on the path, that vertex is short and must come
 next.
+
+Both Hamilton solvers carry their set of short vertices down the search.
+A vertex's count of free neighbours changes only when a neighbour stops
+being free, so a step recounts only the neighbours of that vertex. The
+carried set is the one a rescan of every unused vertex would give at each
+node, so every prune tests the same predicate and no witness can change.
+
 The handoff cannot change a witness:
 
 - pruning in the branch and bound only discards branches that cannot beat
@@ -101,7 +108,13 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 
 
 def hamilton_cycle(g: Graph) -> CycleWitness | None:
-    """First Hamilton cycle in ascending search order, or None."""
+    """First Hamilton cycle in ascending search order, or None.
+
+    `weak` holds the unused vertices with fewer than two neighbours among
+    the unused vertices and 0. Such a vertex must come next, since later
+    it would need two, so two of them end the branch. A step to w takes w
+    out of the counted set, so only the unused neighbours of w change.
+    """
     n = g.n
     adj = g.adj
     if n < 3:
@@ -114,9 +127,11 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
 
     path = [0]
 
-    def extend(u: int, used: int) -> tuple[int, ...] | None:
+    def extend(u: int, used: int, weak: int) -> tuple[int, ...] | None:
         if len(path) == n:
             return tuple(path) if adj[u] & 1 else None
+        if weak & (weak - 1):
+            return None
         unused = full & ~used
         cands = adj[u] & unused
         if not cands:
@@ -125,30 +140,42 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             return None
         if not adj[0] & unused:
             return None
-        # an unused vertex with fewer than two neighbours among the unused
-        # vertices and 0 must come next, since later it would need two; the
-        # test is the same for every candidate w, so it runs once per node
-        weak = 0
-        for x in bits(unused):
-            if (adj[x] & (unused | 1)).bit_count() < 2:
-                weak |= 1 << x
         if weak:
-            if weak.bit_count() > 1:
-                return None
             cands &= weak
-        for w in bits(cands):
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            rest = unused ^ low
+            counted = rest | 1
+            below = weak & ~low
+            nbrs = adj[w] & rest
+            while nbrs:
+                x = nbrs & -nbrs
+                nbrs ^= x
+                if (adj[x.bit_length() - 1] & counted).bit_count() < 2:
+                    below |= x
             path.append(w)
-            got = extend(w, used | (1 << w))
+            got = extend(w, used | low, below)
             if got is not None:
                 return got
             path.pop()
         return None
 
-    found = extend(0, 1)
+    # every degree is at least 2, so no vertex is weak at the root
+    found = extend(0, 1, 0)
     return CycleWitness(found) if found is not None else None
 
 
 def hamilton_path(g: Graph) -> PathWitness | None:
+    """First Hamilton path in ascending search order, or None.
+
+    `short` holds the unused vertices with at most one neighbour among the
+    unused vertices and the end u. Such a vertex can only end the path, so
+    two of them end the branch (a vertex with none fails the closure test
+    anyway). A step from u takes u out of the counted set, so only the
+    unused neighbours of u change, the same for every step from u.
+    """
     n = g.n
     adj = g.adj
     if n == 1:
@@ -156,32 +183,36 @@ def hamilton_path(g: Graph) -> PathWitness | None:
     full = g.vertex_mask
     if closure_mask(adj, full, 1) != full:
         return None
-    if sum(1 for row in adj if row.bit_count() <= 1) > 2:
+    # vertices of degree 1 can only be ends of the path
+    ends = mask_of(v for v in range(n) if adj[v].bit_count() <= 1)
+    if ends.bit_count() > 2:
         return None
 
     path: list[int] = []
 
-    def extend(u: int, used: int) -> tuple[int, ...] | None:
+    def extend(u: int, used: int, short: int) -> tuple[int, ...] | None:
         if len(path) == n:
             return tuple(path)
+        if short & (short - 1):
+            return None
         unused = full & ~used
         cands = adj[u] & unused
         if not cands:
             return None
         if closure_mask(adj, unused, cands) != unused:
             return None
-        # a >= 1 for every x: the closure above reached x from u or over an
-        # edge from another unused vertex
-        short = 0
-        for x in bits(unused):
-            a = (adj[x] & (unused | (1 << u))).bit_count()
-            if a == 1:
-                short += 1
-                if short > 1:
-                    return None
-        for w in bits(cands):
+        nbrs = cands
+        while nbrs:
+            x = nbrs & -nbrs
+            nbrs ^= x
+            if (adj[x.bit_length() - 1] & unused).bit_count() <= 1:
+                short |= x
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
             path.append(w)
-            got = extend(w, used | (1 << w))
+            got = extend(w, used | low, short & ~low)
             if got is not None:
                 return got
             path.pop()
@@ -189,7 +220,7 @@ def hamilton_path(g: Graph) -> PathWitness | None:
 
     for s in range(n):
         path[:] = [s]
-        got = extend(s, 1 << s)
+        got = extend(s, 1 << s, ends & ~(1 << s))
         if got is not None:
             return PathWitness(got)
     return None

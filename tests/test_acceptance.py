@@ -22,7 +22,6 @@ from hamclass.membership import (
     RULE_ORDER,
     ClassKind,
     ClassParams,
-    check_induced_path_property,
     connectivity_requirement,
     degree_ceilings,
     emptiness_threshold,
@@ -39,6 +38,7 @@ from hamclass.walks import (
     detour_order,
 )
 from util import (
+    check_induced_path_property,
     circumference_dp_oracle,
     random_connected_graph,
     random_graph,

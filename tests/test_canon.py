@@ -5,10 +5,8 @@ import pytest
 
 from hamclass.canon import (
     _search,
-    are_isomorphic,
     automorphism_generators,
     canonical_form,
-    canonical_graph6,
     marked_code,
     refine,
 )
@@ -21,9 +19,11 @@ from hamclass.graphs import (
     petersen,
 )
 from util import (
+    are_isomorphic,
     brute_automorphisms,
     brute_isomorphism,
     brute_orbits,
+    canonical_graph6,
     min_perm_code,
     random_graph,
     refine_reference,

@@ -196,6 +196,23 @@ def test_induced_subgraph_relabels_in_order():
         induced_subgraph(g, [])
     with pytest.raises(ValueError):
         induced_subgraph(g, [9])
+    with pytest.raises(ValueError):
+        induced_subgraph(g, [-1, 0])
+
+
+def test_induced_subgraph_equals_checked_graph():
+    # the result skips the Graph checks, so it must be what the checked
+    # constructor accepts and what the edges of g among the kept vertices give
+    rng = random.Random(149)
+    for _ in range(500):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.random())
+        keep = sorted(rng.sample(range(n), rng.randint(1, n)))
+        h = induced_subgraph(g, keep if rng.random() < 0.5 else sum(1 << v for v in keep))
+        assert h == Graph(h.n, h.adj)
+        index = {v: i for i, v in enumerate(keep)}
+        edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+        assert h == Graph.from_edges(len(keep), edges)
 
 
 def test_is_induced_path():

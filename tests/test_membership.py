@@ -17,11 +17,8 @@ from hamclass.membership import (
     WRONG_LENGTH,
     ClassKind,
     ClassParams,
-    check_induced_path_property,
     connectivity_requirement,
     emptiness_threshold,
-    is_hypohamiltonian,
-    is_hypotraceable,
     membership,
     parameter_emptiness,
     required_connectivity,
@@ -31,8 +28,11 @@ from hamclass.membership import (
 from hamclass.walks import check_witness, is_cycle_in, is_path_in
 from util import (
     brute_longest_induced_path_from,
+    check_induced_path_property,
     hypohamiltonian_direct,
     hypotraceable_direct,
+    is_hypohamiltonian,
+    is_hypotraceable,
     random_connected_graph,
 )
 

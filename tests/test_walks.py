@@ -34,10 +34,16 @@ from util import (
     brute_longest_cycle,
     circumference_dp_oracle,
     brute_longest_induced_path_from,
+    coxeter_graph,
     extend_cycle_reference,
     brute_longest_path,
+    flower_snark,
+    generalized_petersen,
+    hamilton_cycle_reference,
+    hamilton_path_reference,
     is_induced_path,
     random_graph,
+    random_relabel,
 )
 
 
@@ -240,6 +246,44 @@ def test_extend_cycle_matches_reference(corpus):
     for _ in range(2000):
         n = rng.randint(9, 16)
         chain_agrees(random_graph(rng, n, rng.uniform(0.1, 0.6)))
+
+
+def _spanning_agree(g):
+    assert hamilton_cycle(g) == hamilton_cycle_reference(g), write_graph6(g)
+    assert hamilton_path(g) == hamilton_path_reference(g), write_graph6(g)
+
+
+def test_hamilton_solvers_match_reference(corpus):
+    # the carried weak and short sets must prune exactly where a rescan of
+    # every unused vertex prunes, so the witnesses (and None) are the ones
+    # the rescanning solvers return
+    for n in range(1, 9):
+        for g in corpus[n]:
+            _spanning_agree(g)
+    rng = random.Random(113)
+    for _ in range(3000):
+        n = rng.randint(1, 18)
+        _spanning_agree(random_graph(rng, n, rng.uniform(0.1, 0.6)))
+
+
+def test_hamilton_solvers_match_reference_on_hypohamiltonian_graphs():
+    # each graph is non-Hamiltonian and each vertex-deleted subgraph is
+    # Hamiltonian: exhaustive refutations beside deep successful searches
+    rng = random.Random(127)
+    named = [
+        generalized_petersen(11, 2),
+        generalized_petersen(17, 2),
+        flower_snark(5),
+        flower_snark(7),
+        coxeter_graph(),
+    ]
+    for h in named:
+        for _ in range(2):
+            g = random_relabel(h, rng)
+            assert hamilton_cycle(g) is None
+            _spanning_agree(g)
+            for v in range(g.n):
+                _spanning_agree(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
 
 
 @settings(max_examples=80, deadline=None)

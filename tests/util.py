@@ -11,10 +11,26 @@ import random
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
-from hamclass.canon import marked_code
-from hamclass.graphs import Graph, bits, closure_mask, induced_subgraph, mask_of, trusted_graph
-from hamclass.membership import ClassKind, ClassParams
-from hamclass.walks import CycleWitness, WitnessError, hamilton_cycle, hamilton_path, is_cycle_in
+from hamclass.canon import canonical_form, marked_code
+from hamclass.graphs import (
+    Graph,
+    bits,
+    closure_mask,
+    induced_subgraph,
+    mask_of,
+    trusted_graph,
+    write_graph6,
+)
+from hamclass.membership import ClassKind, ClassParams, membership
+from hamclass.walks import (
+    CycleWitness,
+    PathWitness,
+    WitnessError,
+    hamilton_cycle,
+    hamilton_path,
+    is_cycle_in,
+    longest_induced_path_from,
+)
 
 
 def ref_graph6_encode(n: int, edges: set[tuple[int, int]]) -> str:
@@ -172,6 +188,32 @@ def generalized_petersen(m: int, s: int, drop: Iterable[tuple[int, int]] = ()) -
     return Graph.from_edges(2 * m, edges)
 
 
+def flower_snark(k: int) -> Graph:
+    """J_k: stars a_i-{b_i, c_i, d_i}, the b-cycle, and the c..d cycle of
+    length 2k. Hypohamiltonian for odd k >= 5 (Fiorini 1983)."""
+    a, b, c, d = 0, k, 2 * k, 3 * k
+    edges = []
+    for i in range(k):
+        edges += [(a + i, b + i), (a + i, c + i), (a + i, d + i)]
+        edges.append((b + i, b + (i + 1) % k))
+    ring = [c + i for i in range(k)] + [d + i for i in range(k)]
+    edges += [(ring[i], ring[(i + 1) % (2 * k)]) for i in range(2 * k)]
+    return Graph.from_edges(4 * k, edges)
+
+
+def coxeter_graph() -> Graph:
+    """Heptagons a (step 1), b (step 2), c (step 3), each d_i joined to
+    a_i, b_i and c_i: cubic, girth 7, hypohamiltonian."""
+    a, b, c, d = 0, 7, 14, 21
+    edges = []
+    for i in range(7):
+        edges.append((a + i, a + (i + 1) % 7))
+        edges.append((b + i, b + (i + 2) % 7))
+        edges.append((c + i, c + (i + 3) % 7))
+        edges += [(d + i, a + i), (d + i, b + i), (d + i, c + i)]
+    return Graph.from_edges(28, edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -276,6 +318,12 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
         rows[perm[u]] |= 1 << perm[v]
         rows[perm[v]] |= 1 << perm[u]
     return Graph(g.n, tuple(rows))
+
+
+def random_relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
 
 
 def min_perm_code(g: Graph) -> tuple[int, ...]:
@@ -546,3 +594,143 @@ def extend_cycle_reference(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
             if dig(w0, 1 << w0):
                 return CycleWitness(cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :])
     return None
+
+
+def hamilton_cycle_reference(g: Graph) -> CycleWitness | None:
+    """`walks.hamilton_cycle` as it was before it carried its weak set
+    down the search: every node recounts every unused vertex. Its witness
+    is what `hamilton_cycle` must return."""
+    n = g.n
+    adj = g.adj
+    if n < 3:
+        return None
+    if any(row.bit_count() < 2 for row in adj):
+        return None
+    full = g.vertex_mask
+    if closure_mask(adj, full, 1) != full:
+        return None
+
+    path = [0]
+
+    def extend(u: int, used: int) -> tuple[int, ...] | None:
+        if len(path) == n:
+            return tuple(path) if adj[u] & 1 else None
+        unused = full & ~used
+        cands = adj[u] & unused
+        if not cands:
+            return None
+        if closure_mask(adj, unused, cands) != unused:
+            return None
+        if not adj[0] & unused:
+            return None
+        # an unused vertex with fewer than two neighbours among the unused
+        # vertices and 0 must come next, since later it would need two; the
+        # test is the same for every candidate w, so it runs once per node
+        weak = 0
+        for x in bits(unused):
+            if (adj[x] & (unused | 1)).bit_count() < 2:
+                weak |= 1 << x
+        if weak:
+            if weak.bit_count() > 1:
+                return None
+            cands &= weak
+        for w in bits(cands):
+            path.append(w)
+            got = extend(w, used | (1 << w))
+            if got is not None:
+                return got
+            path.pop()
+        return None
+
+    found = extend(0, 1)
+    return CycleWitness(found) if found is not None else None
+
+
+def hamilton_path_reference(g: Graph) -> PathWitness | None:
+    """`walks.hamilton_path` as it was before it carried its short set
+    down the search: every node recounts every unused vertex."""
+    n = g.n
+    adj = g.adj
+    if n == 1:
+        return PathWitness((0,))
+    full = g.vertex_mask
+    if closure_mask(adj, full, 1) != full:
+        return None
+    if sum(1 for row in adj if row.bit_count() <= 1) > 2:
+        return None
+
+    path: list[int] = []
+
+    def extend(u: int, used: int) -> tuple[int, ...] | None:
+        if len(path) == n:
+            return tuple(path)
+        unused = full & ~used
+        cands = adj[u] & unused
+        if not cands:
+            return None
+        if closure_mask(adj, unused, cands) != unused:
+            return None
+        # a >= 1 for every x: the closure above reached x from u or over an
+        # edge from another unused vertex
+        short = 0
+        for x in bits(unused):
+            a = (adj[x] & (unused | (1 << u))).bit_count()
+            if a == 1:
+                short += 1
+                if short > 1:
+                    return None
+        for w in bits(cands):
+            path.append(w)
+            got = extend(w, used | (1 << w))
+            if got is not None:
+                return got
+            path.pop()
+        return None
+
+    for s in range(n):
+        path[:] = [s]
+        got = extend(s, 1 << s)
+        if got is not None:
+            return PathWitness(got)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call, built on the package's own deciders
+
+
+def is_hypohamiltonian(g: Graph) -> bool:
+    if g.n < 4:
+        return False
+    return membership(g, ClassParams(1, ClassKind.GAMMA)).member
+
+
+def is_hypotraceable(g: Graph) -> bool:
+    if g.n < 4:
+        return False
+    return membership(g, ClassParams(1, ClassKind.PI)).member
+
+
+def check_induced_path_property(g: Graph, k: int) -> int | None:
+    """Smallest vertex heading no induced path of order k+1, or None.
+
+    Members with k >= 2 must have such a path from every vertex, so a
+    returned vertex refutes membership.
+    """
+    if k < 2:
+        raise ValueError("induced-path property applies for k >= 2")
+    want = k + 1
+    for v in range(g.n):
+        if longest_induced_path_from(g, v, stop_at=want).order < want:
+            return v
+    return None
+
+
+def canonical_graph6(g: Graph) -> str:
+    return write_graph6(Graph(g.n, canonical_form(g)))
+
+
+def are_isomorphic(a: Graph, b: Graph) -> bool:
+    if a.n != b.n or a.edge_count() != b.edge_count():
+        return False
+    return canonical_form(a) == canonical_form(b)
