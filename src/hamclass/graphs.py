@@ -9,7 +9,9 @@ row always fits in a single machine word on CPython.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -188,7 +190,9 @@ def parse_graph6(record: str | bytes) -> Graph:
             if value >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # _parse_order bounds n, and each pair sets both of its bits, never
+    # one on the diagonal
+    return trusted_graph(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:
@@ -294,9 +298,12 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
     """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
 
     With at_most = t the answer is min(connectivity, t), found by trying
-    every vertex set of fewer than t vertices as a cut: C(n, s) closures
-    for each size s < t, far cheaper than flows when t is small and the
-    question is only whether a connectivity floor is met.
+    every vertex set of fewer than t vertices as a cut. The cuts of one
+    size are tested together: the vertex sets they leave sit side by side
+    in the lanes of one packed integer, a block of lanes at a time, and
+    one closure grows all of them at once. That is far cheaper than flows
+    when t is small and the question is only whether a connectivity floor
+    is met.
     """
     n = g.n
     if n < 2:
@@ -318,15 +325,81 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
     return best
 
 
+# Cuts tested by one packed closure. Wider blocks mean fewer, longer
+# integer operations. At n = 64, widths from 256 to 2048 ran level and an
+# unblocked pack was up to twice as slow. The width also bounds each cached
+# table: at n = 64 an entry is three 8 kB integers, so the cache holds at
+# most about 6 MB.
+_LANE_BLOCK = 1024
+
+
+@lru_cache(maxsize=256)
+def _lane_block(n: int, size: int, block: int) -> tuple[int, int, int]:
+    """(rests, seeds, ones) for one block of the size-`size` cuts of n vertices.
+
+    The cuts are taken in colex order (the order of their bitmasks), lanes
+    block * _LANE_BLOCK onwards. Lane i holds bits i*n .. i*n + n-1: of
+    `rests`, the vertices the cut leaves; of `seeds`, the lowest of them;
+    of `ones`, bit 0 only.
+    """
+    first = block * _LANE_BLOCK
+    count = min(_LANE_BLOCK, comb(n, size) - first)
+    # unrank `first` in the combinatorial number system
+    cut = 0
+    rank = first
+    for i in range(size, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        cut |= 1 << c
+        rank -= comb(c, i)
+    full = (1 << n) - 1
+    rests = []
+    for _ in range(count):
+        rests.append(full ^ cut)
+        if cut:
+            # next set of the same size (Gosper's hack)
+            low = cut & -cut
+            ripple = cut + low
+            cut = ripple | ((cut ^ ripple) >> 2) // low
+    return (
+        _pack(rests, n),
+        _pack([rest & -rest for rest in rests], n),
+        _pack([1] * count, n),
+    )
+
+
+def _pack(values: list[int], width: int) -> int:
+    """values[i] << (i * width), summed pairwise so no shift is quadratic."""
+    while len(values) > 1:
+        pairs = zip(values[::2], values[1::2] + [0])
+        values = [lo | hi << width for lo, hi in pairs]
+        width *= 2
+    return values[0]
+
+
 def _connectivity_below(g: Graph, t: int) -> int:
     """min(connectivity, t): the size of the smallest cut of fewer than t
     vertices, or min(t, n-1) when there is none."""
-    adj, full, n = g.adj, g.vertex_mask, g.n
+    adj, n = g.adj, g.n
     # a cut leaves at least two vertices, so it has at most n-2
     for size in range(min(t, n - 1)):
-        for cut in combinations([1 << v for v in range(n)], size):
-            rest = full ^ sum(cut)
-            if closure_mask(adj, rest, rest & -rest) != rest:
+        for block in range(-(-comb(n, size) // _LANE_BLOCK)):
+            rests, frontier, ones = _lane_block(n, size, block)
+            # the vertices of each lane's rest that its closure has not
+            # reached; a lane that ends with any left is cut apart
+            unseen = rests ^ frontier
+            while frontier:
+                grown = 0
+                for v in range(n):
+                    col = frontier >> v & ones
+                    if col:
+                        # row v lands in every lane whose frontier holds v;
+                        # adj[v] < 2**n, so no lane carries into the next
+                        grown |= col * adj[v]
+                frontier = grown & unseen
+                unseen ^= frontier
+            if unseen:
                 return size
     return min(t, n - 1)
 

@@ -6,7 +6,9 @@ census, the parameter-only emptiness window, degree-bound conformance
 on the exhaustive small corpus, agreement of the two longest-cycle
 solvers, the counting-claim contrapositive over attachment configs,
 connectivity and induced-path consequences for every member seen, the
-format round-trips, and soundness of the prune rules.
+format round-trips, soundness of the prune rules, and the scan of
+Pi(10;2), the first order the paper leaves open for the path class at
+k = 2.
 """
 
 import random
@@ -254,6 +256,23 @@ def test_8_prune_rules_never_drop_members(capsys, corpus):
                 for rules in (DEFAULT_RULES, ALL_RULES):
                     failures += _gen_stream_split(n, params, rules, lines, where)
     announce(capsys, 8, "prune rules agree with exhaustive decisions", failures, t0, 600)
+
+
+def test_9_pi_10_2_scan(capsys):
+    # the window is [3, 3], so the scan examines the connected cubic graphs
+    # of order 10 (19, OEIS A002851) and tests each against the floor of 3
+    t0 = time.perf_counter()
+    failures = []
+    report = scan(ScanSpec(10, ClassParams(2, PI)))
+    got = (
+        report.total_examined,
+        report.pruned_per_rule["connectivity"],
+        report.fully_decided,
+        report.members_found,
+    )
+    if got != (19, 5, 14, ()):
+        failures.append(f"examined, connectivity, decided, members = {got}")
+    announce(capsys, 9, "Pi(10;2) scan finds no member", failures, t0, 60)
 
 
 def _gen_stream_split(n, params, rules, lines, where):

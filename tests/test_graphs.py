@@ -23,8 +23,10 @@ from hamclass.graphs import (
 )
 from util import (
     brute_connectivity,
+    connectivity_below_reference,
     is_induced_path,
     random_graph,
+    random_relabel,
     ref_graph6_decode,
     ref_graph6_encode,
 )
@@ -118,6 +120,17 @@ def test_malformed_records_rejected():
         parse_graph6("~~????")  # 8-byte prefix
 
 
+def test_parse_graph6_equals_checked_graph():
+    # the decoder skips the Graph checks, so every record must decode to
+    # what the checked constructor accepts and to the graph it encodes
+    rng = random.Random(157)
+    for n in range(1, 65):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.random())
+            h = parse_graph6(ref_graph6_encode(n, set(g.edges())))
+            assert h == Graph(h.n, h.adj) == g
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 64), st.randoms(use_true_random=False))
 def test_roundtrip_random(n, rnd):
@@ -169,6 +182,49 @@ def test_connectivity_against_brute_force():
                 assert vertex_connectivity(g, at_most=t) == min(want, t)
     with pytest.raises(ValueError):
         vertex_connectivity(petersen(), at_most=-1)
+
+
+def _joined_circulants(a: int, b: int, s: int, rng: random.Random) -> Graph:
+    """C_a(1,2) on 0..a-1 and C_b(1,2) on a..a+b-1, joined only through the
+    s vertices after them, each adjacent to three vertices of either side.
+
+    Both circulants are 4-connected, so for s < 4 the joining vertices are
+    the only cut of s vertices and no smaller cut exists.
+    """
+    edges = []
+    for start, m in ((0, a), (a, b)):
+        edges += [(start + i, start + (i + d) % m) for i in range(m) for d in (1, 2)]
+        for x in range(a + b, a + b + s):
+            edges += [(x, start + v) for v in rng.sample(range(m), 3)]
+    return Graph.from_edges(a + b + s, edges)
+
+
+def test_connectivity_below_matches_reference():
+    # the reference tries one closure per cut; min(reference at 6, t) is
+    # min(connectivity, t) for every t <= 6. Dense graphs above order 16
+    # make the reference try every cut, so fewer of them are drawn.
+    rng = random.Random(151)
+    graphs = [
+        random_graph(rng, n, rng.random())
+        for n in range(2, 25)
+        for _ in range(12 if n <= 16 else 4)
+    ]
+    for s in (2, 3):
+        for _ in range(6):
+            a, b = rng.randint(5, 10), rng.randint(5, 10)
+            graphs.append(random_relabel(_joined_circulants(a, b, s, rng), rng))
+    # the cut is the last vertices, so its lane is the last of the last,
+    # partial block of its size (C(n, 2) and C(n, 3) are not multiples of
+    # the block width)
+    planted = [_joined_circulants(30, n - 30 - s, s, rng) for n, s in ((63, 2), (64, 2), (64, 3))]
+    wants = []
+    for g in graphs + planted:
+        want = connectivity_below_reference(g, 6)
+        wants.append(want)
+        for t in range(7):
+            assert vertex_connectivity(g, at_most=t) == min(want, t)
+    assert set(wants) == {0, 1, 2, 3, 4, 5, 6}
+    assert wants[-3:] == [2, 2, 3]
 
 
 def test_connectivity_monotone_under_edge_addition():

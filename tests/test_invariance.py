@@ -1,14 +1,24 @@
-"""Labelling invariance of the solvers and the decider.
+"""Labelling invariance of the solvers, the decider and the prune rules.
 
-Whether a spanning walk exists, the circumference, the detour order and
-a membership verdict are properties of the isomorphism class, so no
-relabelling may change them. Witnesses are label-dependent and are not
-compared. Every relabelled graph's certificate must also replay.
+Whether a spanning walk exists, the circumference, the detour order, a
+membership verdict, the vertex connectivity and the set of prune rules a
+graph violates are properties of the isomorphism class, so no relabelling
+may change them. Witnesses are label-dependent and are not compared.
+Every relabelled graph's certificate must also replay.
 """
 
 import random
 
-from hamclass.membership import ClassKind, ClassParams, membership
+from hamclass.generate import generate_connected
+from hamclass.graphs import vertex_connectivity
+from hamclass.membership import (
+    DEFAULT_RULES,
+    RULE_ORDER,
+    ClassKind,
+    ClassParams,
+    membership,
+    violated_rules,
+)
 from hamclass.search import certify, verify_certificate
 from hamclass.walks import circumference, detour_order, hamilton_cycle, hamilton_path
 from util import coxeter_graph, flower_snark, generalized_petersen, random_graph, random_relabel
@@ -18,6 +28,22 @@ PARAMS = (
     ClassParams(1, ClassKind.PI),
     ClassParams(2, ClassKind.GAMMA),
 )
+RULE_PARAMS = tuple(ClassParams(k, kind) for kind in ClassKind for k in (1, 2))
+RULE_SETS = (DEFAULT_RULES, frozenset(RULE_ORDER))
+
+
+def _floor(g):
+    """Connectivity, unbounded and capped at 3 and 4, and the violated rules."""
+    return (
+        vertex_connectivity(g),
+        vertex_connectivity(g, at_most=3),
+        vertex_connectivity(g, at_most=4),
+        tuple(
+            frozenset(violated_rules(g, params, rules))
+            for params in RULE_PARAMS
+            for rules in RULE_SETS
+        ),
+    )
 
 
 def _invariants(g):
@@ -28,6 +54,7 @@ def _invariants(g):
         circumference(g)[0],
         detour_order(g)[0],
         tuple((v.member, v.reason, v.found_length) for v in verdicts),
+        _floor(g),
     )
 
 
@@ -49,15 +76,32 @@ def test_relabelling_keeps_values_of_hypohamiltonian_graphs():
         # non-Hamiltonian, traceable, a member of the cycle class at k = 1
         assert want[:4] == (False, True, n - 1, n)
         assert want[4][0] == (True, None, n - 1)
+        # cubic and 3-connected
+        assert want[5][:3] == (3, 3, 3)
+
+
+def test_relabelling_keeps_floor_of_small_connected_graphs():
+    rng = random.Random(139)
+    values = set()
+    for n in range(2, 8):
+        for h in generate_connected(n):
+            want = _floor(h)
+            assert _floor(random_relabel(h, rng)) == want
+            values.add(want[0])
+    assert values == {1, 2, 3, 4, 5, 6}
 
 
 def test_relabelling_keeps_values_of_random_graphs():
     # 39 of the 150 graphs are disconnected and 79 Hamiltonian; each class
-    # refutes some by length and some by a bad deletion set
+    # refutes some by length and some by a bad deletion set, and every
+    # prune rule fires on some
     rng = random.Random(137)
     reasons = set()
+    fired = set()
     for _ in range(150):
         n = rng.randint(9, 16)
         want = _check_relabellings(random_graph(rng, n, rng.uniform(0.15, 0.6)), rng, 2)
         reasons.update((params, reason) for params, (_, reason, _) in zip(PARAMS, want[4]))
+        fired.update(*want[5][3])
+    assert fired == set(RULE_ORDER)
     assert reasons == {(p, r) for p in PARAMS for r in ("wrong_length", "bad_deletion_set")}

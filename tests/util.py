@@ -94,6 +94,20 @@ def brute_connectivity(g: Graph) -> int:
     return g.n - 1
 
 
+def connectivity_below_reference(g: Graph, t: int) -> int:
+    """min(connectivity, t) by one `closure_mask` per candidate cut: the
+    unpacked form of `vertex_connectivity(g, at_most=t)`, which tests its
+    cuts side by side in one packed closure per block."""
+    adj, full, n = g.adj, g.vertex_mask, g.n
+    # a cut leaves at least two vertices, so it has at most n-2
+    for size in range(min(t, n - 1)):
+        for cut in combinations([1 << v for v in range(n)], size):
+            rest = full ^ sum(cut)
+            if closure_mask(adj, rest, rest & -rest) != rest:
+                return size
+    return min(t, n - 1)
+
+
 def rule_reference(g: Graph, params: ClassParams, rules: Iterable[str]) -> set[str]:
     """The enabled prune rules g violates, each from its definition:
     degrees counted off the rows, connectivity by brute force, and the
