@@ -183,10 +183,11 @@ def verify_certificate(cert: Certificate) -> bool:
     per-deletion walks alone cannot rule out a longer walk in the full
     graph (complete graphs would certify as members otherwise). At k = 1
     that search is a Hamilton-cycle or Hamilton-path search, since the
-    longest-walk solvers hand the question to the spanning solvers once
-    they hold a walk of n - 1 vertices. Refuting deletion sets are
-    re-searched, and a claimed length shorter than the target is
-    re-derived, since no walk can witness an upper bound.
+    longest-walk solvers ask the spanning solvers first and, when no
+    spanning walk exists, stop at the first walk of n - 1 vertices. A
+    member certificate must state the target as its length. Refuting
+    deletion sets are re-searched, and a claimed length shorter than the
+    target is re-derived, since no walk can witness an upper bound.
     """
     try:
         g = parse_graph6(cert.graph6)
@@ -203,7 +204,7 @@ def verify_certificate(cert: Certificate) -> bool:
     if cert.verdict == "member":
         if cert.reason is not None or cert.witness_set is not None:
             return False
-        if cert.found_length is not None and cert.found_length != target:
+        if cert.found_length != target:
             return False
         if cert.witness_walks is None:
             return membership(g, params).member

@@ -6,38 +6,30 @@ walks, so a fixed graph always yields the same witness. The intended scale
 is the exhaustive small-order searches used by the class deciders; nothing
 here is meant for graphs much beyond 20 vertices.
 
-`circumference` and `detour_order` search by branch and bound, pruning
-only by reach, until the incumbent has n - 1 vertices and the one vertex
-left has been tried as its next step (a seed cycle of n - 1 vertices is
-handed over at once). If no spanning walk came of that, the spanning
-question goes to `hamilton_cycle` / `hamilton_path`, which prune harder,
-by vertices short of free neighbours. `hamilton_cycle` needs no separate
-pass for the edges forced at a degree-2 vertex: once a neighbour of it
-other than vertex 0 is on the path, that vertex is short and must come
-next.
+`circumference` and `detour_order` decide the spanning question first,
+each with the solver built for it, and return the first of these that
+applies:
+
+- a spanning seed cycle (`circumference` only), as it is;
+- the walk `hamilton_cycle` / `hamilton_path` finds: the lexicographically
+  first Hamilton sequence, from vertex 0 for cycles and over ascending
+  start vertices for paths;
+- otherwise the incumbent of a branch and bound that prunes only by reach
+  and starts from the seed cycle (from the single vertex 0 for paths). It
+  visits walks in lexicographic order, cycles by ascending least vertex,
+  and keeps the first walk longer than every earlier one. No spanning walk
+  exists, so it stops as soon as its incumbent has n - 1 vertices.
+
+The Hamilton solvers prune harder, by vertices short of free neighbours.
+`hamilton_cycle` needs no separate pass for the edges forced at a degree-2
+vertex: once a neighbour of it other than vertex 0 is on the path, that
+vertex is short and must come next.
 
 Both Hamilton solvers carry their set of short vertices down the search.
 A vertex's count of free neighbours changes only when a neighbour stops
 being free, so a step recounts only the neighbours of that vertex. The
 carried set is the one a rescan of every unused vertex would give at each
 node, so every prune tests the same predicate and no witness can change.
-
-The handoff cannot change a witness:
-
-- pruning in the branch and bound only discards branches that cannot beat
-  the incumbent, and it visits walks in lexicographic order (paths over
-  ascending start vertices), so the first spanning walk it would reach is
-  the lexicographically first Hamilton sequence from vertex 0 (for paths,
-  from any start);
-- a spanning walk that sorts before the first incumbent of n - 1 vertices
-  would have been visited before it, so when the step after that
-  incumbent completes a spanning walk, this walk is the first;
-- the Hamilton solvers search in the same ascending order, and their
-  extra pruning only discards branches with no spanning completion, so
-  they return that same sequence;
-- when no spanning walk exists, the incumbent is the one the branch and
-  bound would have kept, since it replaces an incumbent only with a
-  strictly longer walk.
 
 The branch and bound starts from a seed cycle that `extend_cycle` grows
 by outside detours. For each cycle edge it walks greedily from one end,
@@ -279,29 +271,31 @@ def _seed_cycle(g: Graph) -> CycleWitness | None:
 def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
     """Exact circumference with a witness; (0, None) for acyclic graphs.
 
-    Branch and bound climbs to a cycle of n - 1 vertices; unless the step
-    after it closes a Hamilton cycle, `hamilton_cycle` answers the rest.
+    A spanning seed cycle is the answer, then a cycle `hamilton_cycle`
+    finds; otherwise branch and bound from the seed stops at n - 1.
     """
     n = g.n
     adj = g.adj
     seed = _seed_cycle(g)
     if seed is None:
         return 0, None
+    spanning = seed if seed.order == n else hamilton_cycle(g)
+    if spanning is not None:
+        return n, spanning
     best = seed.order
     best_cyc = seed.vertices
-    if best == n:
-        return best, CycleWitness(best_cyc)
     full = g.vertex_mask
     path: list[int] = []
 
     def grow(a: int, u: int, used: int, allowed: int) -> bool:
-        """Search below `path`; True once the incumbent has n - 1 vertices
-        and the step after it has been tried."""
+        """Search below `path`; True once the incumbent has n - 1 vertices."""
         nonlocal best, best_cyc
         plen = len(path)
         if plen >= 3 and adj[u] >> a & 1 and plen > best:
             best = plen
             best_cyc = tuple(path)
+            if best == n - 1:
+                return True
         avail = allowed & ~used
         cands = adj[u] & avail
         if cands:
@@ -312,31 +306,26 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
                     if grow(a, w, used | (1 << w), allowed):
                         return True
                     path.pop()
-        return best >= n - 1
+        return False
 
     for a in range(n):
-        if best >= n - 1 or n - a <= best:
+        if best == n - 1 or n - a <= best:
             break
-        allowed = full & ~((1 << a) - 1)
         path[:] = [a]
-        if grow(a, a, 1 << a, allowed):
-            break
-    # every Hamilton cycle passes through vertex 0, so an incumbent of n - 1
-    # reached after the search rooted at 0 is already final
-    if best == n - 1 and a == 0:
-        ham = hamilton_cycle(g)
-        if ham is not None:
-            return n, ham
+        grow(a, a, 1 << a, full & ~((1 << a) - 1))
     return best, CycleWitness(best_cyc)
 
 
 def detour_order(g: Graph) -> tuple[int, PathWitness]:
     """Exact longest-path order with a witness (order 1 for edgeless graphs).
 
-    Branch and bound climbs to a path of n - 1 vertices; unless the step
-    after it completes a Hamilton path, `hamilton_path` answers the rest.
+    A path `hamilton_path` finds is the answer; otherwise branch and bound
+    stops at n - 1.
     """
     n = g.n
+    spanning = hamilton_path(g)
+    if spanning is not None:
+        return n, spanning
     adj = g.adj
     best = 1
     best_path: tuple[int, ...] = (0,)
@@ -344,13 +333,14 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
     path: list[int] = []
 
     def grow(u: int, used: int) -> bool:
-        """Search below `path`; True once the incumbent has n - 1 vertices
-        and the step after it has been tried."""
+        """Search below `path`; True once the incumbent has n - 1 vertices."""
         nonlocal best, best_path
         plen = len(path)
         if plen > best:
             best = plen
             best_path = tuple(path)
+            if best == n - 1:
+                return True
         avail = full & ~used
         cands = adj[u] & avail
         if cands and plen + closure_mask(adj, avail, cands).bit_count() > best:
@@ -359,16 +349,12 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
                 if grow(w, used | (1 << w)):
                     return True
                 path.pop()
-        return best >= n - 1
+        return False
 
     for s in range(n):
         path[:] = [s]
         if grow(s, 1 << s):
             break
-    if best == n - 1:
-        ham = hamilton_path(g)
-        if ham is not None:
-            return n, ham
     return best, PathWitness(best_path)
 
 

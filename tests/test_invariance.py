@@ -1,14 +1,17 @@
-"""Labelling invariance of the solvers, the decider and the prune rules.
+"""Labelling invariance of the solvers, the decider, the prune rules and
+the canonical form.
 
 Whether a spanning walk exists, the circumference, the detour order, a
-membership verdict, the vertex connectivity and the set of prune rules a
-graph violates are properties of the isomorphism class, so no relabelling
-may change them. Witnesses are label-dependent and are not compared.
-Every relabelled graph's certificate must also replay.
+membership verdict, the vertex connectivity, the set of prune rules a
+graph violates and the canonical form are properties of the isomorphism
+class, so no relabelling may change them. Witnesses are label-dependent
+and are not compared. Every relabelled graph's certificate must also
+replay.
 """
 
 import random
 
+from hamclass.canon import canonical_form
 from hamclass.generate import generate_connected
 from hamclass.graphs import vertex_connectivity
 from hamclass.membership import (
@@ -105,3 +108,12 @@ def test_relabelling_keeps_values_of_random_graphs():
         fired.update(*want[5][3])
     assert fired == set(RULE_ORDER)
     assert reasons == {(p, r) for p in PARAMS for r in ("wrong_length", "bad_deletion_set")}
+
+
+def test_relabelling_keeps_canonical_form_and_walk_orders_of_order_8(corpus):
+    rng = random.Random(157)
+    for h in corpus[8]:
+        g = random_relabel(h, rng)
+        assert canonical_form(g) == canonical_form(h)
+        assert circumference(g)[0] == circumference(h)[0]
+        assert detour_order(g)[0] == detour_order(h)[0]

@@ -518,6 +518,11 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(dataclasses.replace(cert, witness_walks=tuple(walks)))
     assert not verify_certificate(dataclasses.replace(cert, verdict="refuted"))
     assert not verify_certificate(dataclasses.replace(cert, found_length=8))
+    # certify never writes a member without its length, with or without walks
+    assert not verify_certificate(dataclasses.replace(cert, found_length=None))
+    bare = certify(petersen(), G1, include_walks=False)
+    assert verify_certificate(bare)
+    assert not verify_certificate(dataclasses.replace(bare, found_length=None))
     assert not verify_certificate(dataclasses.replace(cert, reason="wrong_length"))
     assert not verify_certificate(dataclasses.replace(cert, witness_set=(0,)))
     # 10 - 8 leaves 2 vertices, too few for a cycle; a path needs at least 1

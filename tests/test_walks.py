@@ -33,8 +33,10 @@ from hamclass.walks import (
 from util import (
     brute_longest_cycle,
     circumference_dp_oracle,
+    circumference_reference,
     brute_longest_induced_path_from,
     coxeter_graph,
+    detour_order_reference,
     extend_cycle_reference,
     brute_longest_path,
     flower_snark,
@@ -248,28 +250,20 @@ def test_extend_cycle_matches_reference(corpus):
         chain_agrees(random_graph(rng, n, rng.uniform(0.1, 0.6)))
 
 
-def _spanning_agree(g):
-    assert hamilton_cycle(g) == hamilton_cycle_reference(g), write_graph6(g)
-    assert hamilton_path(g) == hamilton_path_reference(g), write_graph6(g)
-
-
-def test_hamilton_solvers_match_reference(corpus):
-    # the carried weak and short sets must prune exactly where a rescan of
-    # every unused vertex prunes, so the witnesses (and None) are the ones
-    # the rescanning solvers return
+def _corpus_and_random(corpus, seed, top):
+    """Every connected graph of order <= 8, then 3,000 seeded random graphs
+    of order 1..top, disconnected ones included."""
     for n in range(1, 9):
-        for g in corpus[n]:
-            _spanning_agree(g)
-    rng = random.Random(113)
+        yield from corpus[n]
+    rng = random.Random(seed)
     for _ in range(3000):
-        n = rng.randint(1, 18)
-        _spanning_agree(random_graph(rng, n, rng.uniform(0.1, 0.6)))
+        n = rng.randint(1, top)
+        yield random_graph(rng, n, rng.uniform(0.1, 0.6))
 
 
-def test_hamilton_solvers_match_reference_on_hypohamiltonian_graphs():
-    # each graph is non-Hamiltonian and each vertex-deleted subgraph is
-    # Hamiltonian: exhaustive refutations beside deep successful searches
-    rng = random.Random(127)
+def _hypohamiltonian_relabellings(rng):
+    """GP(11,2), GP(17,2), J5, J7 and Coxeter, each relabelled twice: each
+    is non-Hamiltonian and each vertex-deleted subgraph is Hamiltonian."""
     named = [
         generalized_petersen(11, 2),
         generalized_petersen(17, 2),
@@ -279,11 +273,55 @@ def test_hamilton_solvers_match_reference_on_hypohamiltonian_graphs():
     ]
     for h in named:
         for _ in range(2):
-            g = random_relabel(h, rng)
-            assert hamilton_cycle(g) is None
-            _spanning_agree(g)
-            for v in range(g.n):
-                _spanning_agree(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
+            yield random_relabel(h, rng)
+
+
+def _deletions(g):
+    return [induced_subgraph(g, g.vertex_mask ^ (1 << v)) for v in range(g.n)]
+
+
+def _spanning_agree(g):
+    assert hamilton_cycle(g) == hamilton_cycle_reference(g), write_graph6(g)
+    assert hamilton_path(g) == hamilton_path_reference(g), write_graph6(g)
+
+
+def test_hamilton_solvers_match_reference(corpus):
+    # the carried weak and short sets must prune exactly where a rescan of
+    # every unused vertex prunes, so the witnesses (and None) are the ones
+    # the rescanning solvers return
+    for g in _corpus_and_random(corpus, 113, 18):
+        _spanning_agree(g)
+
+
+def test_hamilton_solvers_match_reference_on_hypohamiltonian_graphs():
+    # exhaustive refutations beside deep successful searches
+    for g in _hypohamiltonian_relabellings(random.Random(127)):
+        assert hamilton_cycle(g) is None
+        _spanning_agree(g)
+        for sub in _deletions(g):
+            _spanning_agree(sub)
+
+
+def _longest_agree(g):
+    assert circumference(g) == circumference_reference(g), write_graph6(g)
+    assert detour_order(g) == detour_order_reference(g), write_graph6(g)
+
+
+def test_longest_walks_match_reference(corpus):
+    # asking the spanning solvers first, then capping the branch and bound
+    # at n - 1, returns the value and witness of the climb to n - 1 and its
+    # handoff
+    for g in _corpus_and_random(corpus, 149, 15):
+        _longest_agree(g)
+
+
+def test_longest_walks_match_reference_on_hypohamiltonian_graphs():
+    # the whole graph is refuted by the spanning solver and then climbs to
+    # n - 1; each deletion is answered by the spanning solver alone
+    for g in _hypohamiltonian_relabellings(random.Random(151)):
+        _longest_agree(g)
+        for sub in _deletions(g):
+            _longest_agree(sub)
 
 
 @settings(max_examples=80, deadline=None)

@@ -26,6 +26,7 @@ from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
+    _seed_cycle,
     hamilton_cycle,
     hamilton_path,
     is_cycle_in,
@@ -707,6 +708,100 @@ def hamilton_path_reference(g: Graph) -> PathWitness | None:
         if got is not None:
             return PathWitness(got)
     return None
+
+
+def circumference_reference(g: Graph) -> tuple[int, CycleWitness | None]:
+    """`walks.circumference` as it was before it asked the spanning
+    question first: branch and bound climbs to a cycle of n - 1 vertices,
+    tries the step after it, and asks a Hamilton-cycle search only when
+    that incumbent came from the seed or the search rooted at vertex 0.
+    The spanning search is the rescanning reference, so no spanning code
+    is shared with the package. Its result is what `circumference` must
+    return."""
+    n = g.n
+    adj = g.adj
+    seed = _seed_cycle(g)
+    if seed is None:
+        return 0, None
+    best = seed.order
+    best_cyc = seed.vertices
+    if best == n:
+        return best, CycleWitness(best_cyc)
+    full = g.vertex_mask
+    path: list[int] = []
+
+    def grow(a: int, u: int, used: int, allowed: int) -> bool:
+        nonlocal best, best_cyc
+        plen = len(path)
+        if plen >= 3 and adj[u] >> a & 1 and plen > best:
+            best = plen
+            best_cyc = tuple(path)
+        avail = allowed & ~used
+        cands = adj[u] & avail
+        if cands:
+            reach = closure_mask(adj, avail, cands)
+            if plen + reach.bit_count() > best and adj[a] & reach:
+                for w in bits(cands):
+                    path.append(w)
+                    if grow(a, w, used | (1 << w), allowed):
+                        return True
+                    path.pop()
+        return best >= n - 1
+
+    for a in range(n):
+        if best >= n - 1 or n - a <= best:
+            break
+        allowed = full & ~((1 << a) - 1)
+        path[:] = [a]
+        if grow(a, a, 1 << a, allowed):
+            break
+    # every Hamilton cycle passes through vertex 0, so an incumbent of n - 1
+    # reached after the search rooted at 0 is already final
+    if best == n - 1 and a == 0:
+        ham = hamilton_cycle_reference(g)
+        if ham is not None:
+            return n, ham
+    return best, CycleWitness(best_cyc)
+
+
+def detour_order_reference(g: Graph) -> tuple[int, PathWitness]:
+    """`walks.detour_order` as it was before it asked the spanning
+    question first: branch and bound climbs to a path of n - 1 vertices,
+    tries the step after it, and only then asks the rescanning
+    Hamilton-path reference. Its result is what `detour_order` must
+    return."""
+    n = g.n
+    adj = g.adj
+    best = 1
+    best_path: tuple[int, ...] = (0,)
+    full = g.vertex_mask
+    path: list[int] = []
+
+    def grow(u: int, used: int) -> bool:
+        nonlocal best, best_path
+        plen = len(path)
+        if plen > best:
+            best = plen
+            best_path = tuple(path)
+        avail = full & ~used
+        cands = adj[u] & avail
+        if cands and plen + closure_mask(adj, avail, cands).bit_count() > best:
+            for w in bits(cands):
+                path.append(w)
+                if grow(w, used | (1 << w)):
+                    return True
+                path.pop()
+        return best >= n - 1
+
+    for s in range(n):
+        path[:] = [s]
+        if grow(s, 1 << s):
+            break
+    if best == n - 1:
+        ham = hamilton_path_reference(g)
+        if ham is not None:
+            return n, ham
+    return best, PathWitness(best_path)
 
 
 # ---------------------------------------------------------------------------
