@@ -239,6 +239,29 @@ def closure_mask(adj: tuple[int, ...] | list[int], allowed: int, seeds: int) -> 
     return seen
 
 
+def joined(adj: tuple[int, ...] | list[int], allowed: int, targets: int) -> bool:
+    """Whether every target is reachable from the lowest one through `allowed`.
+
+    Equal to `closure_mask(adj, allowed, targets & -targets) & targets ==
+    targets`, but the search stops as soon as it has seen every target, so
+    targets close together cost a few neighbourhoods, not a pass over
+    `allowed`. `joined(adj, s, s)` says whether `s` induces a connected graph.
+    """
+    seen = targets & -targets & allowed
+    frontier = seen
+    while targets & ~seen:
+        if not frontier:
+            return False
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return True
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 1:
         return True

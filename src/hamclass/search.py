@@ -178,16 +178,17 @@ def _walk_ok(g: Graph, kind: ClassKind, verts: tuple[int, ...]) -> bool:
 def verify_certificate(cert: Certificate) -> bool:
     """Replay a certificate against its embedded graph.
 
-    Walk witnesses are validated structurally. The one exact search a
-    member certificate still needs is the longest-walk length: valid
-    per-deletion walks alone cannot rule out a longer walk in the full
-    graph (complete graphs would certify as members otherwise). At k = 1
-    that search is a Hamilton-cycle or Hamilton-path search, since the
-    longest-walk solvers ask the spanning solvers first and, when no
-    spanning walk exists, stop at the first walk of n - 1 vertices. A
-    member certificate must state the target as its length. Refuting
-    deletion sets are re-searched, and a claimed length shorter than the
-    target is re-derived, since no walk can witness an upper bound.
+    Walk witnesses are validated structurally, a member's before its one
+    exact search, so a bad walk costs no proof that no longer walk exists.
+    That search is the longest-walk length: valid per-deletion walks alone
+    cannot rule out a longer walk in the full graph (complete graphs would
+    certify as members otherwise). At k = 1 it is a Hamilton-cycle or
+    Hamilton-path search, since the longest-walk solvers ask the spanning
+    solvers first and, when no spanning walk exists, stop at the first walk
+    of n - 1 vertices. A member certificate must state the target as its
+    length. Refuting deletion sets are re-searched, and a claimed length
+    shorter than the target is re-derived, since no walk can witness an
+    upper bound.
     """
     try:
         g = parse_graph6(cert.graph6)
@@ -208,18 +209,17 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if cert.witness_walks is None:
             return membership(g, params).member
-        # count the walks before any search, and never hold the deletion
-        # sets: there are C(n, k) of them, whatever the certificate's size
+        # check every walk before the exact search, and never hold the
+        # deletion sets: there are C(n, k) of them, whatever the
+        # certificate's size
         if len(cert.witness_walks) != comb(g.n, k):
-            return False
-        if longest(g)[0] != target:
             return False
         for drop, walk in zip(combinations(range(g.n), k), cert.witness_walks):
             if len(walk) != target or set(walk) & set(drop):
                 return False
             if not _walk_ok(g, kind, walk):
                 return False
-        return True
+        return longest(g)[0] == target
 
     if cert.reason == WRONG_LENGTH:
         found = cert.found_length

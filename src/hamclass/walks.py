@@ -31,6 +31,20 @@ being free, so a step recounts only the neighbours of that vertex. The
 carried set is the one a rescan of every unused vertex would give at each
 node, so every prune tests the same predicate and no witness can change.
 
+Both Hamilton solvers also keep the unused vertices inducing a connected
+graph. The rest of a spanning walk is a spanning path of them, so nothing
+is lost. It holds at the root when G - 0 is connected (cycles), or when G
+is connected and the neighbours of the start s are joined in G - s
+(paths). A step to w keeps it iff the unused neighbours of w lie in one
+component of the unused vertices without w, since every other unused
+vertex reached w through one of them. So only a w with two or more unused
+neighbours needs a test, and `joined` stops as soon as it has seen them
+all. Under the invariant every unused vertex is reachable from the unused
+neighbours of the end, so no node runs a full reach closure. Each branch
+a failed test cuts has no spanning completion, so the search visits a
+subset of the nodes a per-node closure test visits, in the same order,
+and returns the same witness, or None.
+
 The branch and bound starts from a seed cycle that `extend_cycle` grows
 by outside detours. For each cycle edge it walks greedily from one end,
 always to the smallest outside neighbour from which an outside neighbour
@@ -45,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, closure_mask, mask_of
+from .graphs import Graph, bits, closure_mask, joined, mask_of
 
 
 class WitnessError(ValueError):
@@ -106,6 +120,14 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
     the unused vertices and 0. Such a vertex must come next, since later
     it would need two, so two of them end the branch. A step to w takes w
     out of the counted set, so only the unused neighbours of w change.
+
+    The unused vertices induce a connected graph at every node, since the
+    rest of the cycle is a spanning path of them: G - 0 must be connected,
+    and a step to w keeps them connected iff the unused neighbours of w
+    are joined without it (every other unused vertex reached w through one
+    of them). A step that would split them has no spanning completion and
+    is not taken, so no full reach closure runs at a node and no witness
+    changes.
     """
     n = g.n
     adj = g.adj
@@ -114,7 +136,7 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
     if any(row.bit_count() < 2 for row in adj):
         return None
     full = g.vertex_mask
-    if closure_mask(adj, full, 1) != full:
+    if not joined(adj, full ^ 1, full ^ 1):
         return None
 
     path = [0]
@@ -128,8 +150,6 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
         cands = adj[u] & unused
         if not cands:
             return None
-        if closure_mask(adj, unused, cands) != unused:
-            return None
         if not adj[0] & unused:
             return None
         if weak:
@@ -139,9 +159,11 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             cands ^= low
             w = low.bit_length() - 1
             rest = unused ^ low
+            nbrs = adj[w] & rest
+            if nbrs & (nbrs - 1) and not joined(adj, rest, nbrs):
+                continue
             counted = rest | 1
             below = weak & ~low
-            nbrs = adj[w] & rest
             while nbrs:
                 x = nbrs & -nbrs
                 nbrs ^= x
@@ -164,16 +186,24 @@ def hamilton_path(g: Graph) -> PathWitness | None:
 
     `short` holds the unused vertices with at most one neighbour among the
     unused vertices and the end u. Such a vertex can only end the path, so
-    two of them end the branch (a vertex with none fails the closure test
-    anyway). A step from u takes u out of the counted set, so only the
-    unused neighbours of u change, the same for every step from u.
+    two of them end the branch. A step from u takes u out of the counted
+    set, so only the unused neighbours of u change, the same for every
+    step from u.
+
+    The unused vertices induce a connected graph at every node, since the
+    rest of the path is a spanning path of them: G must be connected and
+    the neighbours of a start s joined in G - s, and a step to w keeps them
+    connected iff the unused neighbours of w are joined without it. A step
+    that would split them has no spanning completion and is not taken. So
+    an unused vertex with no neighbour among the unused vertices and u is
+    the only unused vertex, and u has no step.
     """
     n = g.n
     adj = g.adj
     if n == 1:
         return PathWitness((0,))
     full = g.vertex_mask
-    if closure_mask(adj, full, 1) != full:
+    if not joined(adj, full, full):
         return None
     # vertices of degree 1 can only be ends of the path
     ends = mask_of(v for v in range(n) if adj[v].bit_count() <= 1)
@@ -191,8 +221,6 @@ def hamilton_path(g: Graph) -> PathWitness | None:
         cands = adj[u] & unused
         if not cands:
             return None
-        if closure_mask(adj, unused, cands) != unused:
-            return None
         nbrs = cands
         while nbrs:
             x = nbrs & -nbrs
@@ -203,6 +231,10 @@ def hamilton_path(g: Graph) -> PathWitness | None:
             low = cands & -cands
             cands ^= low
             w = low.bit_length() - 1
+            rest = unused ^ low
+            nbrs = adj[w] & rest
+            if nbrs & (nbrs - 1) and not joined(adj, rest, nbrs):
+                continue
             path.append(w)
             got = extend(w, used | low, short & ~low)
             if got is not None:
@@ -211,8 +243,11 @@ def hamilton_path(g: Graph) -> PathWitness | None:
         return None
 
     for s in range(n):
+        bit = 1 << s
+        if not joined(adj, full ^ bit, adj[s]):
+            continue
         path[:] = [s]
-        got = extend(s, 1 << s, ends & ~(1 << s))
+        got = extend(s, bit, ends & ~bit)
         if got is not None:
             return PathWitness(got)
     return None

@@ -9,12 +9,14 @@ from hamclass.generate import generate_connected
 from hamclass.graphs import (
     Graph,
     Graph6Error,
+    closure_mask,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     degree_profile,
     induced_subgraph,
     is_connected,
+    joined,
     parse_graph6,
     path_graph,
     petersen,
@@ -289,3 +291,37 @@ def test_is_connected():
     assert is_connected(petersen())
     assert not is_connected(Graph.from_edges(3, [(0, 1)]))
     assert is_connected(Graph(1, (0,)))
+
+
+def test_joined_matches_closure():
+    # the early-exit search answers what one closure from the lowest target
+    # answers, for targets inside and outside `allowed`
+    rng = random.Random(163)
+    for _ in range(3000):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        allowed = rng.getrandbits(n)
+        targets = rng.getrandbits(n) & (allowed if rng.random() < 0.7 else g.vertex_mask)
+        want = closure_mask(g.adj, allowed, targets & -targets) & targets == targets
+        assert joined(g.adj, allowed, targets) == want, (write_graph6(g), allowed, targets)
+
+
+def test_joined_cases():
+    # two triangles {0, 1, 2} and {3, 4, 5}
+    adj = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).adj
+    assert not joined(adj, 0, 0b1)
+    assert joined(adj, 0, 0)
+    assert joined(adj, 0b111111, 0)
+    assert joined(adj, 0b111111, 0b1000)
+    assert not joined(adj, 0b110111, 0b1000)
+    assert joined(adj, 0b111111, 0b101)
+    assert not joined(adj, 0b111111, 0b1001)
+    # 0 and 2 are joined through 1 only
+    assert not joined(path_graph(3).adj, 0b101, 0b101)
+    assert joined(path_graph(3).adj, 0b111, 0b101)
+    # a set is connected iff it is joined to itself
+    g = petersen()
+    assert joined(g.adj, g.vertex_mask, g.vertex_mask)
+    rest = g.vertex_mask ^ g.adj[0]  # 0 without its neighbours is isolated
+    assert not joined(g.adj, rest, rest)
+    assert joined(g.adj, rest ^ 1, rest ^ 1)

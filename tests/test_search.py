@@ -562,15 +562,38 @@ def test_member_walk_with_bad_vertices_fails():
         assert 0 not in bad and len(bad) == 9
         assert not verify_certificate(dataclasses.replace(cert, witness_walks=(bad,) + walks[1:]))
 
-    # the star K_{1,3} has detour order 3 = n - 1, so a fabricated path
-    # member gets as far as its first per-deletion walk (the one that
-    # leaves out vertex 0), and the path check rejects it
+    # the star K_{1,3} has detour order 3 = n - 1, so only the path check
+    # on the first per-deletion walk (the one that leaves out vertex 0)
+    # can reject a fabricated path member
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     others = ((2, 0, 3), (1, 0, 3), (1, 0, 2))
     for bad in _member_walk_variants((1, 2, 3), 4):
         assert 0 not in bad and len(bad) == 3
         cert = Certificate(write_graph6(star), ClassKind.PI, 1, "member", None, 3, None, (bad,) + others)
         assert not verify_certificate(cert)
+
+
+class _SearchReached(Exception):
+    pass
+
+
+def test_member_walks_are_checked_before_the_exact_search(monkeypatch):
+    # a forged walk is rejected without the proof that Petersen has no
+    # Hamilton cycle, since the verdict is a conjunction of the checks
+    cert = certify(petersen(), G1)
+    walks = cert.witness_walks
+
+    def reached(g):
+        raise _SearchReached
+
+    monkeypatch.setattr(search, "circumference", reached)
+    with pytest.raises(_SearchReached):
+        verify_certificate(cert)
+    for i in (0, 4, 9):
+        # out of range, negative, repeated, and the deleted vertex itself
+        for bad in _member_walk_variants(walks[i], 10) + [(i,) + walks[i][1:]]:
+            forged = walks[:i] + (bad,) + walks[i + 1 :]
+            assert not verify_certificate(dataclasses.replace(cert, witness_walks=forged))
 
 
 def test_parse_certificate_format_errors():
