@@ -87,9 +87,12 @@ def _workers() -> int:
     raw = os.environ.get("HAMCLASS_WORKERS")
     if raw is None:
         return os.cpu_count() or 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
     if count < 1:
-        raise ValueError(f"HAMCLASS_WORKERS must be positive, got {raw}")
+        raise ValueError(f"HAMCLASS_WORKERS must be a positive integer, got {raw!r}")
     return count
 
 

@@ -45,14 +45,18 @@ a failed test cuts has no spanning completion, so the search visits a
 subset of the nodes a per-node closure test visits, in the same order,
 and returns the same witness, or None.
 
-The branch and bound starts from a seed cycle that `extend_cycle` grows
-by outside detours. For each cycle edge it walks greedily from one end,
-always to the smallest outside neighbour from which an outside neighbour
-of the far end is still reachable through unused outside vertices. Some
-such step exists until the far end is adjacent, so the walk never needs
-to backtrack, and it is the first detour of the ascending depth-first
-search: every seed cycle, and with it every witness, is the one that
-search gives.
+The branch and bound starts from a seed cycle: the first DFS cycle,
+grown by outside detours in one sweep over its edges. For an edge (a, b)
+the detour walks greedily from a, always to the smallest outside
+neighbour from which an outside neighbour of b is still reachable through
+unused outside vertices. Some such step exists until b is adjacent, so
+the walk never needs to backtrack, and it is the first detour of the
+ascending depth-first search. A found detour is inserted and the sweep
+tries edge i again, now (a, d1); otherwise it moves on to edge i + 1.
+Whether a first step exists depends only on the outside set, and can only
+become false as that set shrinks, so an edge with no detour never gets
+one later. The sweep thus gives the cycle that restarting from edge 0
+after every insertion gives, and with it every witness.
 """
 
 from __future__ import annotations
@@ -257,50 +261,61 @@ def hamilton_path(g: Graph) -> PathWitness | None:
 # exact longest walks, branch and bound
 
 
-def _dfs_cycle(g: Graph) -> CycleWitness | None:
-    """Deterministic cheap cycle: the first DFS back-edge's cycle."""
-    n = g.n
+def _dfs_cycle(g: Graph) -> list[int] | None:
+    """The cycle of the first DFS back edge. `chain` is the active DFS path,
+    and a visited neighbour of v other than its parent is on it: had that
+    neighbour finished, it would have visited v itself."""
     adj = g.adj
-    parent = [-1] * n
-    color = [0] * n  # 0 unseen, 1 on the active DFS chain, 2 finished
-    cyc: tuple[int, ...] | None = None
+    seen = 0
+    chain: list[int] = []
 
-    def dfs(v: int) -> None:
-        nonlocal cyc
-        color[v] = 1
+    def dfs(v: int, parent: int) -> list[int] | None:
+        nonlocal seen
+        seen |= 1 << v
+        chain.append(v)
         for u in bits(adj[v]):
-            if cyc is not None:
-                return
-            if color[u] == 0:
-                parent[u] = v
-                dfs(u)
-            elif color[u] == 1 and u != parent[v]:
-                # u is an active ancestor, so the parent chain reaches it
-                walk = [v]
-                x = v
-                while x != u:
-                    x = parent[x]
-                    walk.append(x)
-                cyc = tuple(reversed(walk))
-                return
-        color[v] = 2
+            if seen >> u & 1:
+                if u != parent:
+                    return chain[chain.index(u) :]
+            elif (cyc := dfs(u, v)) is not None:
+                return cyc
+        chain.pop()
+        return None
 
-    for root in range(n):
-        if color[root] == 0 and cyc is None:
-            dfs(root)
-    return None if cyc is None else CycleWitness(cyc)
+    for root in range(g.n):
+        if not seen >> root & 1 and (cyc := dfs(root, -1)) is not None:
+            return cyc
+    return None
 
 
 def _seed_cycle(g: Graph) -> CycleWitness | None:
-    """The first DFS cycle, extended by `extend_cycle` while it can be."""
-    seed = _dfs_cycle(g)
-    if seed is None:
+    """The first DFS cycle, grown by outside detours in one sweep over its
+    edges (see the module docstring)."""
+    cyc = _dfs_cycle(g)
+    if cyc is None:
         return None
-    while True:
-        longer = extend_cycle(g, seed)
-        if longer is None:
-            return seed
-        seed = longer
+    adj = g.adj
+    outside = g.vertex_mask & ~mask_of(cyc)
+    i = 0
+    while outside and i < len(cyc):
+        a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+        ends = adj[b] & outside if adj[a] & outside else 0
+        detour: list[int] = []
+        u, free = a, outside
+        # one closure from b's outside neighbours marks every vertex that can
+        # still reach them (reach is symmetric); only a first step can fail
+        while ends and (step := adj[u] & closure_mask(adj, free, ends)):
+            low = step & -step
+            u = low.bit_length() - 1
+            detour.append(u)
+            free ^= low
+            if adj[u] >> b & 1:
+                cyc[i + 1 : i + 1] = detour
+                outside = free
+                break
+        else:
+            i += 1
+    return CycleWitness(tuple(cyc))
 
 
 def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
@@ -322,7 +337,7 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
     full = g.vertex_mask
     path: list[int] = []
 
-    def grow(a: int, u: int, used: int, allowed: int) -> bool:
+    def grow(a: int, u: int, used: int) -> bool:
         """Search below `path`; True once the incumbent has n - 1 vertices."""
         nonlocal best, best_cyc
         plen = len(path)
@@ -331,14 +346,14 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
             best_cyc = tuple(path)
             if best == n - 1:
                 return True
-        avail = allowed & ~used
+        avail = full & ~used
         cands = adj[u] & avail
         if cands:
             reach = closure_mask(adj, avail, cands)
             if plen + reach.bit_count() > best and adj[a] & reach:
                 for w in bits(cands):
                     path.append(w)
-                    if grow(a, w, used | (1 << w), allowed):
+                    if grow(a, w, used | (1 << w)):
                         return True
                     path.pop()
         return False
@@ -347,7 +362,8 @@ def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
         if best == n - 1 or n - a <= best:
             break
         path[:] = [a]
-        grow(a, a, 1 << a, full & ~((1 << a) - 1))
+        # a cycle rooted at a has no vertex below a
+        grow(a, a, (2 << a) - 1)
     return best, CycleWitness(best_cyc)
 
 
@@ -424,42 +440,3 @@ def longest_induced_path_from(g: Graph, v: int, stop_at: int | None = None) -> P
 
     grow(v, 1 << v)
     return PathWitness(best)
-
-
-def extend_cycle(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
-    """One strictly longer cycle via an outside detour, or None.
-
-    For each cycle edge (a, b) in order, the first ascending outside path
-    joining its endpoints replaces it (single-vertex insertion is the
-    length-1 case). That path is the greedy walk from a that steps each
-    time to the smallest outside neighbour from which b's outside
-    neighbours are still reachable through unused outside vertices: until
-    the walk is beside b, the next vertex of a shortest way there always
-    qualifies, so the ascending search never backtracks. Cheap incumbent
-    improver, not an exact step.
-    """
-    if not is_cycle_in(g, cyc.vertices):
-        raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
-    adj = g.adj
-    outside = g.vertex_mask & ~mask_of(cyc.vertices)
-    if not outside:
-        return None
-    L = len(cyc.vertices)
-    for i in range(L):
-        a = cyc.vertices[i]
-        b = cyc.vertices[(i + 1) % L]
-        ends = adj[b] & outside
-        if not (adj[a] & outside and ends):
-            continue
-        detour: list[int] = []
-        u, free = a, outside
-        # one closure from b's outside neighbours marks every vertex that can
-        # still reach them (reach is symmetric); only a first step can fail
-        while step := adj[u] & closure_mask(adj, free, ends):
-            low = step & -step
-            u = low.bit_length() - 1
-            detour.append(u)
-            free ^= low
-            if adj[u] >> b & 1:
-                return CycleWitness(cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :])
-    return None

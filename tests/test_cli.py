@@ -163,10 +163,12 @@ def test_scan_rules_off(capsys):
     assert report["total_examined"] == report["fully_decided"] == 112
 
 
-def test_scan_rejects_bad_workers(monkeypatch, capsys):
-    monkeypatch.setenv("HAMCLASS_WORKERS", "0")
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_scan_rejects_bad_workers(monkeypatch, capsys, raw):
+    monkeypatch.setenv("HAMCLASS_WORKERS", raw)
     code, _, err = run(capsys, ["scan", "--n", "5", "--k", "1"])
-    assert code == 2 and "HAMCLASS_WORKERS" in err
+    assert code == 2
+    assert f"HAMCLASS_WORKERS must be a positive integer, got {raw!r}" in err
 
 
 def test_bounds_threshold_only(capsys):

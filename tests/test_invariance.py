@@ -6,23 +6,25 @@ membership verdict, the vertex connectivity, the set of prune rules a
 graph violates and the canonical form are properties of the isomorphism
 class, so no relabelling may change them. Witnesses are label-dependent
 and are not compared. Every relabelled graph's certificate must also
-replay.
+replay, and a stream scan of the generator's own window output, each
+graph relabelled, must report what the generator scan reports.
 """
 
 import random
 
 from hamclass.canon import canonical_form
 from hamclass.generate import generate_connected
-from hamclass.graphs import vertex_connectivity
+from hamclass.graphs import parse_graph6, petersen, vertex_connectivity, write_graph6
 from hamclass.membership import (
     DEFAULT_RULES,
     RULE_ORDER,
     ClassKind,
     ClassParams,
+    degree_window,
     membership,
     violated_rules,
 )
-from hamclass.search import certify, verify_certificate
+from hamclass.search import SOURCE_STREAM, ScanSpec, certify, scan, verify_certificate
 from hamclass.walks import circumference, detour_order, hamilton_cycle, hamilton_path
 from util import coxeter_graph, flower_snark, generalized_petersen, random_graph, random_relabel
 
@@ -117,3 +119,31 @@ def test_relabelling_keeps_canonical_form_and_walk_orders_of_order_8(corpus):
         assert canonical_form(g) == canonical_form(h)
         assert circumference(g)[0] == circumference(h)[0]
         assert detour_order(g)[0] == detour_order(h)[0]
+
+
+def test_stream_scan_of_relabelled_window_matches_generator_scan():
+    # Γ(9;1) with default rules: 631 graphs in the [3, 4] window, 85 of
+    # them pruned by connectivity; Γ(10;1) with all rules: the 19 cubic
+    # graphs, 5 pruned, and the Petersen graph the one member
+    rng = random.Random(163)
+    gamma1 = ClassParams(1, ClassKind.GAMMA)
+    cases = (
+        (ScanSpec(9, gamma1), 631, {"connectivity": 85}, []),
+        (ScanSpec(10, gamma1, prune_rules=frozenset(RULE_ORDER)), 19, {"connectivity": 5}, [petersen()]),
+    )
+    for spec, examined, fired, members in cases:
+        floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
+        window = generate_connected(spec.n, max_degree=cap, min_degree=floor)
+        records = [write_graph6(random_relabel(g, rng)) for g in window]
+        want = scan(spec)
+        got = scan(ScanSpec(spec.n, spec.params, SOURCE_STREAM, spec.prune_rules), records)
+        assert want.total_examined == got.total_examined == len(records) == examined
+        assert want.pruned_per_rule == got.pruned_per_rule
+        assert {r: c for r, c in got.pruned_per_rule.items() if c} == fired
+        assert want.fully_decided == got.fully_decided == examined - sum(fired.values())
+        assert got.skipped_records == 0
+        forms = [
+            sorted(canonical_form(parse_graph6(text)) for text in report.members_found)
+            for report in (want, got)
+        ]
+        assert forms[0] == forms[1] == sorted(canonical_form(h) for h in members)

@@ -20,11 +20,10 @@ from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
-    _dfs_cycle,
+    _seed_cycle,
     check_witness,
     circumference,
     detour_order,
-    extend_cycle,
     hamilton_cycle,
     hamilton_path,
     is_cycle_in,
@@ -38,7 +37,6 @@ from util import (
     brute_longest_induced_path_from,
     coxeter_graph,
     detour_order_reference,
-    extend_cycle_reference,
     brute_longest_path,
     flower_snark,
     generalized_petersen,
@@ -47,6 +45,7 @@ from util import (
     is_induced_path,
     random_graph,
     random_relabel,
+    seed_cycle_reference,
 )
 
 
@@ -214,41 +213,35 @@ def test_longest_induced_path_matches_brute_force():
             assert short.order == min(stop, w.order)
 
 
-def test_extend_cycle():
+def test_seed_cycle():
+    # the first DFS cycle of K4 is the triangle 0-1-2, which grows to span
     k4 = complete_graph(4)
-    bigger = extend_cycle(k4, CycleWitness((0, 1, 2)))
-    assert bigger is not None and bigger.order == 4
-    check_witness(k4, bigger)
-    # spanning cycles cannot grow
-    assert extend_cycle(k4, bigger) is None
-    # any 9-cycle of the Petersen graph is stuck: a spanning extension
-    # would be a Hamilton cycle
+    seed = _seed_cycle(k4)
+    assert seed is not None and seed.order == 4
+    check_witness(k4, seed)
+    # the Petersen graph's seed reaches 9 vertices and is stuck there: a
+    # spanning extension would be a Hamilton cycle
     g = petersen()
-    _, w = circumference(g)
-    assert w is not None and extend_cycle(g, w) is None
-    with pytest.raises(WitnessError):
-        extend_cycle(k4, CycleWitness((0, 1)))
+    seed = _seed_cycle(g)
+    assert seed is not None and seed.order == 9
+    check_witness(g, seed)
+    assert seed_cycle_reference(g) == seed
+    assert _seed_cycle(path_graph(5)) is None
 
 
-def test_extend_cycle_matches_reference(corpus):
-    # along the seed chain (first DFS cycle, then every extension) the
-    # reach-pruned detour search returns what the exhaustive one returns;
+def test_seed_cycle_matches_reference(corpus):
+    # one sweep over the edges gives the cycle that restarting the
+    # exhaustive detour search from edge 0 after every insertion gives;
     # 1,022 of the 2,000 random graphs are not 2-connected and 557 not
     # connected, so outside regions that cannot reach b are common
-    def chain_agrees(g):
-        cyc = _dfs_cycle(g)
-        while cyc is not None:
-            got = extend_cycle(g, cyc)
-            assert got == extend_cycle_reference(g, cyc), write_graph6(g)
-            cyc = got
-
     for n in range(1, 9):
         for g in corpus[n]:
-            chain_agrees(g)
+            assert _seed_cycle(g) == seed_cycle_reference(g), write_graph6(g)
     rng = random.Random(97)
     for _ in range(2000):
         n = rng.randint(9, 16)
-        chain_agrees(random_graph(rng, n, rng.uniform(0.1, 0.6)))
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        assert _seed_cycle(g) == seed_cycle_reference(g), write_graph6(g)
 
 
 def _corpus_and_random(corpus, seed, top):

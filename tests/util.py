@@ -26,7 +26,6 @@ from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
-    _seed_cycle,
     hamilton_cycle,
     hamilton_path,
     is_cycle_in,
@@ -578,10 +577,12 @@ def circumference_dp_oracle(g: Graph) -> int:
 
 
 def extend_cycle_reference(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
-    """`walks.extend_cycle` before its reach prune: the detour search
-    tries every simple path of the outside region, including regions that
-    cannot reach the far endpoint. Its result is what `extend_cycle`
-    must return."""
+    """One strictly longer cycle via an outside detour, or None: for each
+    cycle edge (a, b) in order, the first ascending outside path joining its
+    ends replaces it. The detour search tries every simple path of the
+    outside region, including regions that cannot reach b, where the
+    package's greedy walk prunes by reach. `seed_cycle_reference` calls it
+    from edge 0 again after every insertion."""
     if not is_cycle_in(g, cyc.vertices):
         raise WitnessError(f"not a cycle of the host graph: {cyc.vertices}")
     adj = g.adj
@@ -608,6 +609,55 @@ def extend_cycle_reference(g: Graph, cyc: CycleWitness) -> CycleWitness | None:
             detour[:] = [w0]
             if dig(w0, 1 << w0):
                 return CycleWitness(cyc.vertices[: i + 1] + tuple(detour) + cyc.vertices[i + 1 :])
+    return None
+
+
+def _dfs_cycle_reference(g: Graph) -> CycleWitness | None:
+    """The first DFS back edge's cycle, found by colours and a walk up the
+    parent chain."""
+    n = g.n
+    adj = g.adj
+    parent = [-1] * n
+    color = [0] * n  # 0 unseen, 1 on the active DFS chain, 2 finished
+    cyc: tuple[int, ...] | None = None
+
+    def dfs(v: int) -> None:
+        nonlocal cyc
+        color[v] = 1
+        for u in bits(adj[v]):
+            if cyc is not None:
+                return
+            if color[u] == 0:
+                parent[u] = v
+                dfs(u)
+            elif color[u] == 1 and u != parent[v]:
+                # u is an active ancestor, so the parent chain reaches it
+                walk = [v]
+                x = v
+                while x != u:
+                    x = parent[x]
+                    walk.append(x)
+                cyc = tuple(reversed(walk))
+                return
+        color[v] = 2
+
+    for root in range(n):
+        if color[root] == 0 and cyc is None:
+            dfs(root)
+    return None if cyc is None else CycleWitness(cyc)
+
+
+def seed_cycle_reference(g: Graph) -> CycleWitness | None:
+    """`walks._seed_cycle` as it was before it became one sweep: the first
+    DFS cycle, extended by `extend_cycle_reference`, which starts again
+    from edge 0 every time, until no detour is left. Its cycle is what
+    `_seed_cycle` must return."""
+    seed = _dfs_cycle_reference(g)
+    while seed is not None:
+        longer = extend_cycle_reference(g, seed)
+        if longer is None:
+            return seed
+        seed = longer
     return None
 
 
@@ -720,7 +770,7 @@ def circumference_reference(g: Graph) -> tuple[int, CycleWitness | None]:
     return."""
     n = g.n
     adj = g.adj
-    seed = _seed_cycle(g)
+    seed = seed_cycle_reference(g)
     if seed is None:
         return 0, None
     best = seed.order
