@@ -17,7 +17,6 @@ from .attachment import (
     ClaimReport,
     ConfigError,
     build_config,
-    consecutive_neighbor_check,
     verify_claims,
 )
 from .canon import canonical_form
@@ -25,14 +24,10 @@ from .generate import GENERATION_CAP, generate_connected, subtree_roots
 from .graphs import (
     Graph,
     Graph6Error,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     degree_profile,
     induced_subgraph,
     is_connected,
     parse_graph6,
-    path_graph,
     petersen,
     vertex_connectivity,
     write_graph6,
@@ -93,11 +88,7 @@ __all__ = [
     "certify",
     "check_witness",
     "circumference",
-    "complete_bipartite",
-    "complete_graph",
     "connectivity_requirement",
-    "consecutive_neighbor_check",
-    "cycle_graph",
     "degree_profile",
     "detour_order",
     "emptiness_threshold",
@@ -110,7 +101,6 @@ __all__ = [
     "parameter_emptiness",
     "parse_certificate",
     "parse_graph6",
-    "path_graph",
     "petersen",
     "required_connectivity",
     "scan",

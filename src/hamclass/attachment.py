@@ -209,17 +209,6 @@ def _first_insertion(cfg: AttachmentConfig) -> tuple[int, ...] | None:
     return None
 
 
-def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | PathWitness | None:
-    """Insertion walk through the path head, if two consecutive spine
-    vertices admit it. Refutes any claim that the spine is longest."""
-    verts = _first_insertion(cfg)
-    if verts is None:
-        return None
-    w = type(cfg.spine)(verts)
-    check_witness(cfg.graph, w)
-    return w
-
-
 def improvement_candidates(cfg: AttachmentConfig, index: int) -> list[CycleWitness | PathWitness]:
     """Exchange walks for one segment, validated as walks of the spine's
     type and filtered to those strictly longer than the spine. On a cycle

@@ -451,25 +451,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# named constructions used across tests and docs
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, combinations(range(n), 2))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+# the named construction the README example and the benchmark use
 
 
 def petersen() -> Graph:

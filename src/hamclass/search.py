@@ -397,7 +397,8 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
         args: tuple = (spec.params, spec.prune_rules)
     else:
         floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
-        if cap is not None and cap < 0:
+        # an empty window, or a single odd degree at odd order (handshake lemma)
+        if cap is not None and (cap < 0 or floor == cap and spec.n * floor % 2):
             units = iter(())
         else:
             units = subtree_roots(spec.n, max_degree=cap, min_degree=floor)

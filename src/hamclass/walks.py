@@ -31,6 +31,26 @@ being free, so a step recounts only the neighbours of that vertex. The
 carried set is the one a rescan of every unused vertex would give at each
 node, so every prune tests the same predicate and no witness can change.
 
+Both Hamilton solvers also break the direction symmetry. Each returns the
+lexicographically first Hamilton sequence, so when it tries a branch,
+every earlier branch has failed, and so has every walk whose reverse
+starts in one of them.
+- A cycle 0, a, ..., c with c < a reverses into 0, c, ..., a. So under
+  the first step a, only the `closers`, the neighbours of 0 above a, may
+  end the cycle. The leaf asks for a closer, a node needs a free closer,
+  and the weak count credits 0 only to closers. The last neighbour of 0
+  has no closer, so its branch is not tried.
+- A path from s that ends at e < s reverses into a path from e. So the
+  end must lie above s: a short vertex below s ends the branch, and the
+  last start is not tried.
+
+The first Hamilton cycle has a < c and the first Hamilton path ends above
+its start, so each is still found, and no witness changes. The carried
+weak set is still the one a rescan under the closer-restricted count
+gives: counts change only when a vertex is used, and once at the root
+step, where the neighbours of 0 that are not closers lose 0 and are
+recounted.
+
 Both Hamilton solvers also keep the unused vertices inducing a connected
 graph. The rest of a spanning walk is a spanning path of them, so nothing
 is lost. It holds at the root when G - 0 is connected (cycles), or when G
@@ -120,10 +140,17 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 def hamilton_cycle(g: Graph) -> CycleWitness | None:
     """First Hamilton cycle in ascending search order, or None.
 
+    The root loops over the first step 0 -> a. A cycle 0, a, ..., c with
+    c < a reverses into 0, c, ..., a, which the earlier branch 0 -> c
+    would have found, so only the `closers`, the neighbours of 0 above a,
+    may end the cycle. The last neighbour of 0 has none and is not tried.
+
     `weak` holds the unused vertices with fewer than two neighbours among
-    the unused vertices and 0. Such a vertex must come next, since later
-    it would need two, so two of them end the branch. A step to w takes w
-    out of the counted set, so only the unused neighbours of w change.
+    the unused vertices and, for a closer, 0. Such a vertex must come
+    next, since later it would need two, so two of them end the branch. A
+    step to w takes w out of the counted set, so only the unused
+    neighbours of w change; at the root step the neighbours of 0 that are
+    not closers change too, since they lose 0.
 
     The unused vertices induce a connected graph at every node, since the
     rest of the cycle is a spanning path of them: G - 0 must be connected,
@@ -144,17 +171,20 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
         return None
 
     path = [0]
+    closers = 0
+    # the rows the weak count reads: 0 stays only in the rows of closers
+    rows = list(adj)
 
     def extend(u: int, used: int, weak: int) -> tuple[int, ...] | None:
         if len(path) == n:
-            return tuple(path) if adj[u] & 1 else None
+            return tuple(path) if closers >> u & 1 else None
         if weak & (weak - 1):
             return None
         unused = full & ~used
         cands = adj[u] & unused
         if not cands:
             return None
-        if not adj[0] & unused:
+        if not closers & unused:
             return None
         if weak:
             cands &= weak
@@ -171,7 +201,7 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             while nbrs:
                 x = nbrs & -nbrs
                 nbrs ^= x
-                if (adj[x.bit_length() - 1] & counted).bit_count() < 2:
+                if (rows[x.bit_length() - 1] & counted).bit_count() < 2:
                     below |= x
             path.append(w)
             got = extend(w, used | low, below)
@@ -180,9 +210,30 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             path.pop()
         return None
 
-    # every degree is at least 2, so no vertex is weak at the root
-    found = extend(0, 1, 0)
-    return CycleWitness(found) if found is not None else None
+    for a in bits(adj[0]):
+        low = 1 << a
+        closers = adj[0] & ~((low << 1) - 1)
+        if not closers:
+            break
+        rest = full ^ 1 ^ low
+        if joined(adj, rest, adj[a] & rest):
+            # every degree is at least 2, so only the neighbours of a and
+            # the earlier first steps, which lost 0, can be weak
+            check = (adj[a] | adj[0] & ~closers) & rest
+            counted = rest | 1
+            weak = 0
+            while check:
+                x = check & -check
+                check ^= x
+                if (rows[x.bit_length() - 1] & counted).bit_count() < 2:
+                    weak |= x
+            path[1:] = [a]
+            found = extend(a, 1 | low, weak)
+            if found is not None:
+                return CycleWitness(found)
+        # a closes no cycle of a later branch
+        rows[a] ^= 1
+    return None
 
 
 def hamilton_path(g: Graph) -> PathWitness | None:
@@ -193,6 +244,10 @@ def hamilton_path(g: Graph) -> PathWitness | None:
     two of them end the branch. A step from u takes u out of the counted
     set, so only the unused neighbours of u change, the same for every
     step from u.
+
+    The end must lie above the start s: a path that ends at e < s reverses
+    into a path from e, and start e has already failed. So a short vertex
+    below s ends the branch, and the last start is not tried.
 
     The unused vertices induce a connected graph at every node, since the
     rest of the path is a spanning path of them: G must be connected and
@@ -215,11 +270,12 @@ def hamilton_path(g: Graph) -> PathWitness | None:
         return None
 
     path: list[int] = []
+    below = 0
 
     def extend(u: int, used: int, short: int) -> tuple[int, ...] | None:
         if len(path) == n:
-            return tuple(path)
-        if short & (short - 1):
+            return tuple(path) if u > path[0] else None
+        if short & (short - 1) or short & below:
             return None
         unused = full & ~used
         cands = adj[u] & unused
@@ -246,10 +302,11 @@ def hamilton_path(g: Graph) -> PathWitness | None:
             path.pop()
         return None
 
-    for s in range(n):
+    for s in range(n - 1):
         bit = 1 << s
         if not joined(adj, full ^ bit, adj[s]):
             continue
+        below = bit - 1
         path[:] = [s]
         got = extend(s, bit, ends & ~bit)
         if got is not None:

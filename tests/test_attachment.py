@@ -11,11 +11,10 @@ from hamclass.attachment import (
     ClaimIndexRecord,
     ConfigError,
     build_config,
-    consecutive_neighbor_check,
     improvement_candidates,
     verify_claims,
 )
-from hamclass.graphs import Graph, complete_graph, cycle_graph, petersen
+from hamclass.graphs import Graph, petersen
 from hamclass.membership import ClassKind
 from hamclass.walks import (
     PathWitness,
@@ -23,7 +22,13 @@ from hamclass.walks import (
     circumference,
     detour_order,
 )
-from util import random_connected_graph, sparse_attachment_graph
+from util import (
+    complete_graph,
+    consecutive_neighbor_check,
+    cycle_graph,
+    random_connected_graph,
+    sparse_attachment_graph,
+)
 
 GAMMA = ClassKind.GAMMA
 PI = ClassKind.PI

@@ -10,21 +10,17 @@ from hamclass.canon import (
     marked_code,
     refine,
 )
-from hamclass.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    parse_graph6,
-    path_graph,
-    petersen,
-)
+from hamclass.graphs import Graph, parse_graph6, petersen
 from util import (
     are_isomorphic,
     brute_automorphisms,
     brute_isomorphism,
     brute_orbits,
     canonical_graph6,
+    complete_graph,
+    cycle_graph,
     min_perm_code,
+    path_graph,
     random_graph,
     refine_reference,
     refinement_cell_index,

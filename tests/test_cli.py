@@ -10,13 +10,8 @@ import pytest
 
 import hamclass
 from hamclass.cli import main
-from hamclass.graphs import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    petersen,
-    write_graph6,
-)
+from hamclass.graphs import petersen, write_graph6
+from util import complete_graph, cycle_graph, path_graph
 
 PETERSEN = write_graph6(petersen())
 K5 = write_graph6(complete_graph(5))
@@ -144,6 +139,28 @@ def test_scan_gen_cap_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "order 11" in err
+
+
+def test_scan_parity_empty_window_starts_no_generation(monkeypatch, capsys):
+    # Pi(11;2) has the window [3, 3] at odd order: no cubic graph of order
+    # 11 exists (handshake lemma), so the scan must not walk the tree
+    def no_roots(*args, **kwargs):
+        raise AssertionError("a parity-empty window started generation")
+
+    monkeypatch.setattr(hamclass.search, "GENERATION_CAP", 11)
+    monkeypatch.setattr(hamclass.search, "subtree_roots", no_roots)
+    code, out, _ = run(capsys, ["scan", "--n", "11", "--k", "2", "--class", "pi"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["total_examined"] == 0
+    assert report["pruned_per_rule"] == {
+        "order_threshold": 0,
+        "min_degree": 0,
+        "max_degree": 0,
+        "connectivity": 0,
+    }
+    assert report["fully_decided"] == 0
+    assert report["members_found"] == []
 
 
 def test_scan_stream_finds_member(monkeypatch, capsys):

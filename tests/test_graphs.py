@@ -10,23 +10,23 @@ from hamclass.graphs import (
     Graph,
     Graph6Error,
     closure_mask,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     degree_profile,
     induced_subgraph,
     is_connected,
     joined,
     parse_graph6,
-    path_graph,
     petersen,
     vertex_connectivity,
     write_graph6,
 )
 from util import (
     brute_connectivity,
+    complete_bipartite,
+    complete_graph,
     connectivity_below_reference,
+    cycle_graph,
     is_induced_path,
+    path_graph,
     random_graph,
     random_relabel,
     ref_graph6_decode,

@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamclass.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    petersen,
-)
+from hamclass.graphs import Graph, petersen
 from hamclass.membership import (
     BAD_DELETION_SET,
     DEFAULT_RULES,
@@ -29,10 +23,13 @@ from hamclass.walks import check_witness, is_cycle_in, is_path_in
 from util import (
     brute_longest_induced_path_from,
     check_induced_path_property,
+    complete_graph,
+    cycle_graph,
     hypohamiltonian_direct,
     hypotraceable_direct,
     is_hypohamiltonian,
     is_hypotraceable,
+    path_graph,
     random_connected_graph,
 )
 

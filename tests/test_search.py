@@ -11,14 +11,7 @@ import pytest
 
 import hamclass.search as search
 from hamclass.generate import generate_connected, subtree_roots
-from hamclass.graphs import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    petersen,
-    write_graph6,
-)
+from hamclass.graphs import Graph, petersen, write_graph6
 from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams, violated_rules
 from hamclass.search import (
     Certificate,
@@ -31,7 +24,13 @@ from hamclass.search import (
     scan,
     verify_certificate,
 )
-from util import generalized_petersen, rule_reference
+from util import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    generalized_petersen,
+    rule_reference,
+)
 
 G1 = ClassParams(1, ClassKind.GAMMA)
 P1 = ClassParams(1, ClassKind.PI)

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from hamclass.graphs import (
     Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
     induced_subgraph,
-    path_graph,
     petersen,
     write_graph6,
 )
@@ -35,7 +31,10 @@ from util import (
     circumference_dp_oracle,
     circumference_reference,
     brute_longest_induced_path_from,
+    complete_bipartite,
+    complete_graph,
     coxeter_graph,
+    cycle_graph,
     detour_order_reference,
     brute_longest_path,
     flower_snark,
@@ -43,8 +42,10 @@ from util import (
     hamilton_cycle_reference,
     hamilton_path_reference,
     is_induced_path,
+    path_graph,
     random_graph,
     random_relabel,
+    relabel,
     seed_cycle_reference,
 )
 
@@ -305,6 +306,38 @@ def test_hamilton_solvers_match_reference_on_two_vertex_deletions():
         g = random_relabel(h, rng)
         for a, b in combinations(range(g.n), 2):
             _spanning_agree(induced_subgraph(g, g.vertex_mask ^ (1 << a) ^ (1 << b)))
+
+
+def _hub_relabellings(g, rng, count):
+    """`count` relabellings of g, each with a vertex of largest degree at 0
+    and the other vertices, so also the neighbours of 0, in a fresh order."""
+    hub = max(range(g.n), key=lambda v: g.adj[v].bit_count())
+    others = [v for v in range(g.n) if v != hub]
+    for _ in range(count):
+        rng.shuffle(others)
+        perm = [0] * g.n
+        for label, v in enumerate(others, 1):
+            perm[v] = label
+        yield relabel(g, perm)
+
+
+def test_hamilton_solvers_match_reference_on_small_refutations(corpus):
+    # a cycle may close only through a neighbour of 0 above its first step,
+    # and a path may end only above its start; each branch this cuts must
+    # be one whose reverse an earlier, failed branch already searched. The
+    # 5,474 connected graphs of order <= 8 that lack a Hamilton cycle or
+    # path (the count pins the selection), two orders of the neighbours of
+    # 0 each
+    rng = random.Random(181)
+    refutations = 0
+    for n in range(1, 9):
+        for h in corpus[n]:
+            if hamilton_cycle(h) is not None and hamilton_path(h) is not None:
+                continue
+            refutations += 1
+            for g in _hub_relabellings(h, rng, 2):
+                _spanning_agree(g)
+    assert refutations == 5474
 
 
 def _longest_agree(g):

@@ -11,6 +11,7 @@ import random
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
+from hamclass.attachment import AttachmentConfig, _first_insertion
 from hamclass.canon import canonical_form, marked_code
 from hamclass.graphs import (
     Graph,
@@ -26,6 +27,7 @@ from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
+    check_witness,
     hamilton_cycle,
     hamilton_path,
     is_cycle_in,
@@ -190,6 +192,24 @@ def brute_longest_induced_path_from(g: Graph, v: int) -> int:
 
     grow([v])
     return best
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def generalized_petersen(m: int, s: int, drop: Iterable[tuple[int, int]] = ()) -> Graph:
@@ -856,6 +876,17 @@ def detour_order_reference(g: Graph) -> tuple[int, PathWitness]:
 
 # ---------------------------------------------------------------------------
 # helpers only the tests call, built on the package's own deciders
+
+
+def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | PathWitness | None:
+    """Insertion walk through the path head, if two consecutive spine
+    vertices admit it. Refutes any claim that the spine is longest."""
+    verts = _first_insertion(cfg)
+    if verts is None:
+        return None
+    w = type(cfg.spine)(verts)
+    check_witness(cfg.graph, w)
+    return w
 
 
 def is_hypohamiltonian(g: Graph) -> bool:
