@@ -36,17 +36,31 @@ from .graphs import Graph, mask_of
 Cells = list[tuple[int, ...]]
 
 
-def refine(adj: tuple[int, ...], cells: Cells) -> Cells:
+def refine(
+    adj: tuple[int, ...], cells: Cells, watch: tuple[int, int] | None = None
+) -> Cells | None:
     """Equitable refinement of an ordered partition.
 
     Cells split by neighbor count into each splitter cell, subcells ordered
     by ascending count. Restarts from the first splitter after any split, so
     the result depends only on the partition structure, never on labels.
+
+    `watch` is a vertex v and a mask of vertices of v's cell, its ties.
+    A split replaces a cell by its parts in place, so a part never moves
+    relative to another once it has split off. The watched refinement
+    therefore returns None as soon as a split puts a tie in a part before
+    v's part, which is exactly when the unwatched refinement places a tie
+    in an earlier cell than v; otherwise it returns the same cells.
     """
-    return _refine(adj, cells, set())
+    return _refine(adj, cells, set(), watch)
 
 
-def _refine(adj: tuple[int, ...], cells: Cells, uniform: set[tuple[int, ...]]) -> Cells:
+def _refine(
+    adj: tuple[int, ...],
+    cells: Cells,
+    uniform: set[tuple[int, ...]],
+    watch: tuple[int, int] | None = None,
+) -> Cells | None:
     """`refine`, given cells already known to be uniform on every cell.
 
     A splitter uniform on every cell stays uniform on every part of a later
@@ -78,6 +92,10 @@ def _refine(adj: tuple[int, ...], cells: Cells, uniform: set[tuple[int, ...]]) -
                     groups[c].append(v)
                 else:
                     groups[c] = [v]
+            if watch is not None and watch[0] in cell:
+                cv = (adj[watch[0]] & smask).bit_count()
+                if any(c < cv and mask_of(part) & watch[1] for c, part in groups.items()):
+                    return None
             cells[j : j + 1] = [tuple(groups[c]) for c in sorted(groups)]
             i = 0
             break
@@ -171,9 +189,14 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return _search(g.n, g.adj, [tuple(range(g.n))])[0]
 
 
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Permutations (gamma[v] is the image of v) that generate Aut(g)."""
-    return _search(g.n, g.adj, [tuple(range(g.n))])[1]
+def automorphism_generators(g: Graph, cells: Cells | None = None) -> list[list[int]]:
+    """Permutations (gamma[v] is the image of v) that generate Aut(g), or
+    with `cells` the automorphisms that map each cell onto itself.
+
+    The refined unit partition is invariant under Aut(g), so passed as
+    `cells` it still gives all of Aut(g).
+    """
+    return _search(g.n, g.adj, [tuple(range(g.n))] if cells is None else cells)[1]
 
 
 def marked_code(g: Graph, x: int) -> tuple[int, ...]:

@@ -30,6 +30,43 @@ components are cheap and settle most candidates. Non-cutvertices keep
 parents connected, and every connected graph has at least two of them,
 so no class is orphaned.
 
+A non-canonical child is rejected as early as each component allows.
+Let A be the attachment set, so v has degree s = |A|.
+- Degree skip, before the child is built. When s >= 2, every
+  non-cutvertex u of the parent is still one in the child: the parent
+  without u is connected, and v keeps a neighbour in it. In the child u
+  has degree deg(u) + [u in A], and if that is below s, u beats v. With
+  d the least degree of a parent non-cutvertex and L the ones of that
+  degree, `_children` therefore skips A when s > d + 1, or when s = d + 1
+  and L is not inside A. For s = 1 the test never fires: a connected
+  parent of order 2 or more has d >= 1, and the one-vertex parent's vertex
+  is in A. The skip is invariant under Aut(parent), and this is what keeps
+  the output unchanged: an automorphism maps non-cutvertices onto
+  non-cutvertices of the same degree, and A onto a set of the same size
+  that holds the images of L exactly when A holds L. So the skip drops
+  whole orbits, and the first candidate of every orbit it keeps is the
+  one yielded before. An unattached non-cutvertex of degree s only ties
+  v, and later components may still favour v, so it is not a reason to
+  skip.
+- Cut structure, from the parent. `_grow` finds the parent's
+  non-cutvertices once. For s >= 2 they stay non-cutvertices (above); for
+  s = 1 all but v's one neighbour do. A parent cutvertex becomes a
+  non-cutvertex when A meets every component it separates. So
+  `_is_canonical` runs a closure only for the parent's cutvertices, and
+  for v's neighbour when s = 1.
+- Watched refinement. A tie is a non-cutvertex of v's degree; a tie in an
+  earlier refined cell than v rejects the child. A split replaces a cell
+  by its parts in place, so once a tie is split off before v it stays
+  before v, and `refine` with `watch` stops at that split.
+- Ties settled by orbits. When ties share v's cell, one search from the
+  refined cells, which every automorphism preserves, gives generators of
+  Aut(child). A tie in v's orbit has v's marked code, so it needs no code
+  of its own; of each other orbit one tie is compared with v. A kept child
+  hands this group down to its own `_grow`, which then needs no search of
+  its own. The group is built only when ties survive refinement, so a
+  child settled by degree or cell pays nothing for it, and gets its group
+  from `automorphism_generators` only if it has children to grow.
+
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
 ceiling-respecting graph respects the ceiling too. Deleting a vertex
@@ -68,42 +105,70 @@ from typing import Iterator
 # canonical_form is not called here; it stays bound because
 # perfbench/tracer.py wraps it in this module
 from .canon import automorphism_generators, canonical_form, marked_code, refine
-from .graphs import MAX_ORDER, Graph, closure_mask, trusted_graph
+from .graphs import MAX_ORDER, Graph, bits, closure_mask, mask_of, trusted_graph
 
 GENERATION_CAP = 10
 
 
-def _is_canonical(child: Graph) -> bool:
-    """Whether the newest vertex lies in the canonical orbit."""
+def _noncutvertices(g: Graph) -> int:
+    """Mask of the vertices whose removal leaves g connected."""
+    adj = g.adj
+    full = g.vertex_mask
+    noncut = 0
+    for u in range(g.n):
+        rem = full ^ (1 << u)
+        if closure_mask(adj, rem, rem & -rem) == rem:
+            noncut |= 1 << u
+    return noncut
+
+
+def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | None]:
+    """Whether the newest vertex lies in the canonical orbit, and, when the
+    test built them to settle ties, generators of Aut(child).
+
+    `noncut` is the parent's non-cutvertex mask; the module docstring says
+    why only the parent's cutvertices, and the one neighbour of a pendant
+    newest vertex, need a closure here.
+    """
     adj = child.adj
     v = child.n - 1
     dv = adj[v].bit_count()
     full = child.vertex_mask
     # the newest vertex is never a cutvertex (its parent is connected), so
-    # only a non-cutvertex of degree at most dv can beat or tie it; the
-    # closure runs only for those
-    ties = []
+    # only a non-cutvertex of degree at most dv can beat or tie it; only
+    # these vertices can differ from the parent in being one
+    recheck = ~noncut | adj[v] if dv == 1 else ~noncut
+    ties = 0
     for u in range(v):
         du = adj[u].bit_count()
         if du > dv:
             continue
-        rem = full ^ (1 << u)
-        if closure_mask(adj, rem, rem & -rem) != rem:
-            continue
+        if recheck >> u & 1:
+            rem = full ^ (1 << u)
+            if closure_mask(adj, rem, rem & -rem) != rem:
+                continue
         if du < dv:
-            return False
-        ties.append(u)
+            return False, None
+        ties |= 1 << u
     if not ties:
-        return True
-    cells = refine(adj, [tuple(range(child.n))])
-    pos = {u: i for i, cell in enumerate(cells) for u in cell}
-    if any(pos[u] < pos[v] for u in ties):
-        return False
-    ties = [u for u in ties if pos[u] == pos[v]]
+        return True, None
+    cells = refine(adj, [tuple(range(child.n))], (v, ties))
+    if cells is None:
+        return False, None
+    ties &= mask_of(next(cell for cell in cells if v in cell))
     if not ties:
-        return True
-    code = marked_code(child, v)
-    return all(code <= marked_code(child, u) for u in ties)
+        return True, None
+    gens = automorphism_generators(child, cells)
+    # the orbits are sets of one-bit masks, so a sum is their union
+    ties &= ~sum(_orbit(1 << v, gens))
+    if ties:
+        code = marked_code(child, v)
+        while ties:
+            u = (ties & -ties).bit_length() - 1
+            if marked_code(child, u) < code:
+                return False, None
+            ties &= ~sum(_orbit(1 << u, gens))
+    return True, gens
 
 
 def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
@@ -126,10 +191,16 @@ def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
 
 
 def _children(
-    parent: Graph, max_degree: int | None, floor: int, gens: list[list[int]]
+    parent: Graph,
+    max_degree: int | None,
+    floor: int,
+    gens: list[list[int]],
+    noncut: int,
 ) -> Iterator[Graph]:
     """Children of parent, in ascending attachment order, whose degrees all
-    lie in [floor, max_degree], one per orbit of the group gens generate."""
+    lie in [floor, max_degree], one per orbit of the group gens generate,
+    leaving out the orbits the degree skip rejects (module docstring);
+    `noncut` is the parent's non-cutvertex mask."""
     m = parent.n
     rows = parent.adj
     # a parent vertex below the floor must gain the new edge; one at the
@@ -146,6 +217,9 @@ def _children(
         else:
             free |= 1 << u
     high = m if max_degree is None else max_degree
+    # the least degree of a parent non-cutvertex, and the vertices having it
+    least = min(rows[u].bit_count() for u in bits(noncut))
+    lows = mask_of(u for u in bits(noncut) if rows[u].bit_count() == least)
     bit = 1 << m
     covered: set[int] = set()
     sub = 0
@@ -153,7 +227,13 @@ def _children(
         # the subsets of free in ascending order, each joined to must, so
         # the first candidate met in an orbit is its smallest mask
         attach = must | sub
-        if attach and floor <= attach.bit_count() <= high and attach not in covered:
+        size = attach.bit_count()
+        if (
+            attach
+            and floor <= size <= high
+            and (size <= least or size == least + 1 and not lows & ~attach)
+            and attach not in covered
+        ):
             if gens:
                 covered |= _orbit(attach, gens)
             yield trusted_graph(
@@ -167,23 +247,32 @@ def _children(
 
 
 def _grow(
-    graph: Graph, n: int, max_degree: int | None, min_degree: int, stop: int | None = None
+    graph: Graph,
+    n: int,
+    max_degree: int | None,
+    min_degree: int,
+    stop: int | None = None,
+    gens: list[list[int]] | None = None,
 ) -> Iterator[Graph]:
     """graph itself at order `stop` (default n), else the nodes of that
-    order below it in the tree whose window is that of order n."""
+    order below it in the tree whose window is that of order n. `gens`,
+    when given, generate Aut(graph)."""
     if graph.n == (n if stop is None else stop):
         yield graph
         return
     m = graph.n + 1
     budget = (n - m) * (n - 1 if max_degree is None else max_degree)
-    gens = automorphism_generators(graph)
-    for child in _children(graph, max_degree, min_degree - (n - m), gens):
+    if gens is None:
+        gens = automorphism_generators(graph)
+    noncut = _noncutvertices(graph)
+    for child in _children(graph, max_degree, min_degree - (n - m), gens, noncut):
         if min_degree and budget < sum(
             min_degree - d for d in map(int.bit_count, child.adj) if d < min_degree
         ):
             continue
-        if _is_canonical(child):
-            yield from _grow(child, n, max_degree, min_degree, stop)
+        kept, child_gens = _is_canonical(child, noncut)
+        if kept:
+            yield from _grow(child, n, max_degree, min_degree, stop, child_gens)
 
 
 def subtree_roots(

@@ -261,14 +261,25 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if self.source not in (SOURCE_GENERATOR, SOURCE_STREAM):
             raise ValueError(f"source must be gen or stream, got {self.source!r}")
-        if self.source == SOURCE_GENERATOR and self.n > GENERATION_CAP:
-            raise ValueError(
-                f"internal generation stops at order {GENERATION_CAP}; stream order {self.n} instead"
-            )
         unknown = set(self.prune_rules) - set(RULE_ORDER)
         if unknown:
             raise ValueError(f"unknown prune rules {sorted(unknown)}")
         target_length(self.n, self.params)
+        if (
+            self.source == SOURCE_GENERATOR
+            and self.n > GENERATION_CAP
+            and not _starts_no_generation(self.n, *degree_window(self.n, self.params, self.prune_rules))
+        ):
+            raise ValueError(
+                f"internal generation stops at order {GENERATION_CAP}; stream order {self.n} instead"
+            )
+
+
+def _starts_no_generation(n: int, floor: int, cap: int | None) -> bool:
+    """Whether no graph of order n has every degree in [floor, cap]: the
+    window is empty, or a single odd degree at odd order (handshake lemma).
+    A generator scan of such a window examines nothing."""
+    return cap is not None and (cap < 0 or floor == cap and n * floor % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -397,8 +408,7 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
         args: tuple = (spec.params, spec.prune_rules)
     else:
         floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
-        # an empty window, or a single odd degree at odd order (handshake lemma)
-        if cap is not None and (cap < 0 or floor == cap and spec.n * floor % 2):
+        if _starts_no_generation(spec.n, floor, cap):
             units = iter(())
         else:
             units = subtree_roots(spec.n, max_degree=cap, min_degree=floor)

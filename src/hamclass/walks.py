@@ -65,6 +65,13 @@ a failed test cuts has no spanning completion, so the search visits a
 subset of the nodes a per-node closure test visits, in the same order,
 and returns the same witness, or None.
 
+A Hamilton walk alternates between the sides of a 2-colouring, so a
+bipartite graph whose sides differ in size has no Hamilton cycle, and
+one whose sides differ by two or more has no Hamilton path. Each solver
+asks this only after its first root branch (cycles) or first start
+(paths) has failed, so a graph whose first branch holds a walk pays
+nothing for it, and the answer is None either way.
+
 The branch and bound starts from a seed cycle: the first DFS cycle,
 grown by outside detours in one sweep over its edges. For an edge (a, b)
 the detour walks greedily from a, always to the smallest outside
@@ -137,6 +144,27 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 # Hamilton cycle / path
 
 
+def _colour_gap(adj: tuple[int, ...], full: int) -> int:
+    """How many more vertices one side of the 2-colouring of a connected
+    graph has than the other, or 0 when the graph has no 2-colouring."""
+    sides = [1, 0]
+    seen = frontier = 1
+    colour = 0
+    while frontier:
+        grown = 0
+        for x in bits(frontier):
+            grown |= adj[x]
+        colour ^= 1
+        frontier = grown & full & ~seen
+        seen |= frontier
+        sides[colour] |= frontier
+    # breadth-first layers alternate sides, so an odd cycle shows as an
+    # edge inside one side
+    if any(adj[x] & side for side in sides for x in bits(side)):
+        return 0
+    return abs(sides[0].bit_count() - sides[1].bit_count())
+
+
 def hamilton_cycle(g: Graph) -> CycleWitness | None:
     """First Hamilton cycle in ascending search order, or None.
 
@@ -159,6 +187,9 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
     of them). A step that would split them has no spanning completion and
     is not taken, so no full reach closure runs at a node and no witness
     changes.
+
+    Once the first branch has failed, a 2-colouring with unequal sides
+    refutes the rest at once.
     """
     n = g.n
     adj = g.adj
@@ -210,11 +241,13 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             path.pop()
         return None
 
-    for a in bits(adj[0]):
+    for i, a in enumerate(bits(adj[0])):
         low = 1 << a
         closers = adj[0] & ~((low << 1) - 1)
         if not closers:
             break
+        if i == 1 and _colour_gap(adj, full):
+            return None
         rest = full ^ 1 ^ low
         if joined(adj, rest, adj[a] & rest):
             # every degree is at least 2, so only the neighbours of a and
@@ -256,6 +289,9 @@ def hamilton_path(g: Graph) -> PathWitness | None:
     that would split them has no spanning completion and is not taken. So
     an unused vertex with no neighbour among the unused vertices and u is
     the only unused vertex, and u has no step.
+
+    Once the first start has failed, a 2-colouring whose sides differ by
+    two or more refutes the rest at once.
     """
     n = g.n
     adj = g.adj
@@ -303,6 +339,8 @@ def hamilton_path(g: Graph) -> PathWitness | None:
         return None
 
     for s in range(n - 1):
+        if s == 1 and _colour_gap(adj, full) > 1:
+            return None
         bit = 1 << s
         if not joined(adj, full ^ bit, adj[s]):
             continue

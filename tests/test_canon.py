@@ -51,6 +51,32 @@ def test_refine_matches_reference():
         assert refine(g.adj, cells) == refine_reference(g.adj, cells)
 
 
+def test_watched_refine_matches_reference():
+    # the watch rejects exactly when the full refinement puts a tie of v
+    # before v, and otherwise changes nothing
+    rng = random.Random(43)
+    rejected = 0
+    for _ in range(5000):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.random())
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n // 3)))
+        cells = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        home = rng.choice([cell for cell in cells if len(cell) > 1] or cells)
+        v = rng.choice(home)
+        ties = sum(1 << u for u in home if u != v and rng.random() < 0.5)
+        want = refine_reference(g.adj, cells)
+        pos = {u: i for i, cell in enumerate(want) for u in cell}
+        got = refine(g.adj, cells, (v, ties))
+        if any(pos[u] < pos[v] for u in range(n) if ties >> u & 1):
+            assert got is None
+            rejected += 1
+        else:
+            assert got == want
+    assert rejected > 500
+
+
 def generated_group(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
     group = {tuple(range(n))}
     frontier = list(group)

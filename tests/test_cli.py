@@ -143,11 +143,11 @@ def test_scan_gen_cap_exits_two(capsys):
 
 def test_scan_parity_empty_window_starts_no_generation(monkeypatch, capsys):
     # Pi(11;2) has the window [3, 3] at odd order: no cubic graph of order
-    # 11 exists (handshake lemma), so the scan must not walk the tree
+    # 11 exists (handshake lemma), so the scan passes the order cap of the
+    # generator and must not walk the tree
     def no_roots(*args, **kwargs):
         raise AssertionError("a parity-empty window started generation")
 
-    monkeypatch.setattr(hamclass.search, "GENERATION_CAP", 11)
     monkeypatch.setattr(hamclass.search, "subtree_roots", no_roots)
     code, out, _ = run(capsys, ["scan", "--n", "11", "--k", "2", "--class", "pi"])
     assert code == 0

@@ -4,10 +4,18 @@ from math import comb, factorial
 
 import pytest
 
-from hamclass.canon import canonical_form, marked_code
-from hamclass.generate import generate_connected, subtree_roots
-from hamclass.graphs import Graph, degree_profile, is_connected, write_graph6
-from util import automorphism_count, generate_connected_reference, min_perm_code
+import hamclass.generate
+from hamclass.canon import automorphism_generators, canonical_form, marked_code
+from hamclass.generate import _children, _noncutvertices, _orbit, generate_connected, subtree_roots
+from hamclass.graphs import Graph, degree_profile, induced_subgraph, is_connected, write_graph6
+from util import (
+    _canonical_code_reference,
+    _children_reference,
+    automorphism_count,
+    brute_orbits,
+    generate_connected_reference,
+    min_perm_code,
+)
 
 # connected graph counts by order, long since settled
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -122,6 +130,59 @@ def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
         for g in generate_connected(n, max_degree=hi, min_degree=lo, root=root)
     ]
     assert sharded == expected
+
+
+@pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
+def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
+    # every child the tree tries: the fast test keeps it exactly when the
+    # reference finds its newest vertex in the canonical orbit, and a group
+    # it hands down has the orbits of Aut(child)
+    is_canonical = hamclass.generate._is_canonical
+    tried = []
+
+    def recording(child, noncut):
+        kept, gens = is_canonical(child, noncut)
+        tried.append((child, kept, gens))
+        return kept, gens
+
+    monkeypatch.setattr(hamclass.generate, "_is_canonical", recording)
+    count = sum(1 for _ in generate_connected(n, max_degree=hi, min_degree=lo))
+    assert count == (CONNECTED_COUNTS[n] if hi is None else PINNED_REPRESENTATIVES[n, lo, hi][0])
+    grouped = 0
+    for child, kept, gens in tried:
+        assert kept == (_canonical_code_reference(child) is not None)
+        if gens is not None:
+            assert kept
+            grouped += 1
+            if child.n <= 7:
+                orbits = {frozenset(_orbit(1 << v, gens)) for v in range(child.n)}
+                assert orbits == {frozenset(1 << v for v in o) for o in brute_orbits(child)}
+    assert grouped or n < 4
+
+
+def test_degree_skip_drops_only_noncanonical_children(corpus):
+    # with no group to dedupe by, _children leaves out exactly the
+    # attachment sets the degree skip rejects; the reference must reject
+    # each of them too
+    skipped = 0
+    for m in range(1, 7):
+        for parent in corpus[m]:
+            noncut = _noncutvertices(parent)
+            assert noncut == sum(
+                1 << u
+                for u in range(m)
+                if m == 1 or is_connected(induced_subgraph(parent, [x for x in range(m) if x != u]))
+            )
+            for hi, floor in ((None, 0), (4, 1), (3, 2)):
+                fast = {child.adj[-1] for child in _children(parent, hi, floor, [], noncut)}
+                for child in _children_reference(parent, hi, floor):
+                    if child.adj[-1] in fast:
+                        fast.discard(child.adj[-1])
+                    else:
+                        skipped += 1
+                        assert _canonical_code_reference(child) is None
+                assert not fast
+    assert skipped
 
 
 def test_subtree_roots():

@@ -340,6 +340,23 @@ def test_hamilton_solvers_match_reference_on_small_refutations(corpus):
     assert refutations == 5474
 
 
+def test_hamilton_solvers_match_reference_on_bipartite_graphs():
+    # a 2-colouring with unequal sides refutes a Hamilton cycle, and one
+    # whose sides differ by two or more refutes a Hamilton path; the
+    # solvers ask it once their first branch has failed, so the witnesses
+    # (and None) stay those of the references
+    for a in range(1, 7):
+        for b in range(a, 13 - a):
+            _spanning_agree(complete_bipartite(a, b))
+    rng = random.Random(191)
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        a = rng.randint(1, n - 1)
+        p = rng.uniform(0.3, 1.0)
+        edges = [(x, y) for x in range(a) for y in range(a, n) if rng.random() < p]
+        _spanning_agree(random_relabel(Graph.from_edges(n, edges), rng))
+
+
 def _longest_agree(g):
     assert circumference(g) == circumference_reference(g), write_graph6(g)
     assert detour_order(g) == detour_order_reference(g), write_graph6(g)
