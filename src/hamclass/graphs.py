@@ -4,10 +4,31 @@ Vertices are 0-indexed ints. Adjacency is stored as one int bitmask per
 vertex, which keeps neighborhood intersections and subset tests cheap for
 the exhaustive searches built on top. Orders up to 64 are supported so a
 row always fits in a single machine word on CPython.
+
+The graph6 codec leaves the bit packing to C string operations. Its
+digits 63..126 are the base64 alphabet shifted, so one byte translation
+and `binascii` turn a record body into bytes, and reversing the bits of
+each byte and reading them little-endian puts the p-th vertex pair of the
+column-major upper triangle at bit p of one integer. Column j, the pairs
+(i, j) with i < j, is then one shift and mask: the row of j below the
+diagonal. The rows above it are set with one step per edge. Writing runs
+the same steps backwards. A record is checked in a fixed order, each with
+its own message: the order prefix, the length, the first byte outside
+63..126, and the padding bits.
+
+The connectivity floor `vertex_connectivity(g, at_most=t)` tries every
+cut of fewer than t vertices in one packed closure. The vertex set each
+cut leaves sits in its own n-bit lane of one integer, lanes ordered by
+cut size and then in colex order, and one breadth-first search grows all
+lanes at once, n shifts and multiplies per round whatever the lane count.
+A lane left with unreached vertices is cut apart, so the smallest cut is
+the size of the lowest such lane. Blocks of `_LANE_BLOCK` lanes bound the
+integers; each block is built once per (n, t, block) and cached.
 """
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -152,6 +173,16 @@ def _parse_order(body: str) -> tuple[int, int]:
     return n, 4
 
 
+# graph6 digits are the bytes 63..126 holding the values 0..63, in the
+# order of the base64 alphabet, so binascii does the 6-bit packing
+_GRAPH6_DIGITS = bytes(range(63, 127))
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
+_TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
+# each byte with its bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def parse_graph6(record: str | bytes) -> Graph:
     """Decode one graph6 record, with or without the >>graph6<< header."""
     if isinstance(record, bytes):
@@ -170,26 +201,28 @@ def parse_graph6(record: str | bytes) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise Graph6Error(f"expected {nbytes} edge bytes for order {n}, got {len(body)}")
-    value = 0
-    for ch in body:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"byte {c} outside graph6 range")
-        value = value << 6 | (c - 63)
-    pad = 6 * nbytes - nbits
-    if value & ((1 << pad) - 1):
+    digits = body.encode("ascii") if body.isascii() else None
+    if digits is None or digits.translate(None, _GRAPH6_DIGITS):
+        # the first character outside 63..126, in record order
+        c = next(ord(ch) for ch in body if not 63 <= ord(ch) <= 126)
+        raise Graph6Error(f"byte {c} outside graph6 range")
+    # base64 takes groups of four digits; the zero digits added run past
+    # the padding, so they are checked with it
+    raw = a2b_base64(digits.translate(_TO_BASE64) + b"A" * (-nbytes % 4))
+    # bit p is the p-th pair of the column-major upper triangle
+    pairs = int.from_bytes(raw.translate(_REVERSED_BITS), "little")
+    if pairs >> nbits:
         raise Graph6Error("set bit in padding")
-    value >>= pad
-    # column-major upper triangle, as write_graph6 emits it: pair (0, 1)
-    # sits in the highest bit
-    pos = nbits
+    # column j, the row of j below the diagonal, starts at bit j(j-1)/2
     rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if value >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        low = pairs >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = low
+        bit = 1 << j
+        while low:
+            i = low & -low
+            rows[i.bit_length() - 1] |= bit
+            low ^= i
     # _parse_order bounds n, and each pair sets both of its bits, never
     # one on the diagonal
     return trusted_graph(n, tuple(rows))
@@ -202,22 +235,14 @@ def write_graph6(g: Graph) -> str:
         prefix = chr(n + 63)
     else:
         prefix = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    out = [prefix]
-    group = 0
-    nfilled = 0
+    # the steps of parse_graph6 backwards, in whole base64 groups
+    pairs = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            nfilled += 1
-            if nfilled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                nfilled = 0
-    if nfilled:
-        group <<= 6 - nfilled
-        out.append(chr(group + 63))
-    return "".join(out)
+        pairs |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    raw = pairs.to_bytes(-(-nbytes // 4) * 3, "little").translate(_REVERSED_BITS)
+    body = b2a_base64(raw, newline=False)[:nbytes].translate(_TO_GRAPH6)
+    return prefix + body.decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +346,8 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
     """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
 
     With at_most = t the answer is min(connectivity, t), found by trying
-    every vertex set of fewer than t vertices as a cut. The cuts of one
-    size are tested together: the vertex sets they leave sit side by side
-    in the lanes of one packed integer, a block of lanes at a time, and
-    one closure grows all of them at once. That is far cheaper than flows
+    every vertex set of fewer than t vertices as a cut, all in one packed
+    closure (see the module docstring). That is far cheaper than flows
     when t is small and the question is only whether a connectivity floor
     is met.
     """
@@ -356,20 +379,33 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
 _LANE_BLOCK = 1024
 
 
-@lru_cache(maxsize=256)
-def _lane_block(n: int, size: int, block: int) -> tuple[int, int, int]:
-    """(rests, seeds, ones) for one block of the size-`size` cuts of n vertices.
+def _lane_size(n: int, lane: int) -> tuple[int, int]:
+    """(size, rank) of a lane: the cuts of n vertices are taken by size,
+    then in colex order (the order of their bitmasks), and lane `lane` holds
+    the cut of rank `rank` among those of its size."""
+    size = 0
+    while lane >= (count := comb(n, size)):
+        lane -= count
+        size += 1
+    return size, lane
 
-    The cuts are taken in colex order (the order of their bitmasks), lanes
-    block * _LANE_BLOCK onwards. Lane i holds bits i*n .. i*n + n-1: of
-    `rests`, the vertices the cut leaves; of `seeds`, the lowest of them;
-    of `ones`, bit 0 only.
+
+@lru_cache(maxsize=256)
+def _lane_block(n: int, t: int, block: int) -> tuple[int, int, int]:
+    """(rests, seeds, ones) for one block of the cuts of fewer than t of n
+    vertices, lanes block * _LANE_BLOCK onwards in the order of `_lane_size`.
+
+    Lane i holds bits i*n .. i*n + n-1: of `rests`, the vertices the cut
+    leaves; of `seeds`, the lowest of them; of `ones`, bit 0 only.
     """
     first = block * _LANE_BLOCK
-    count = min(_LANE_BLOCK, comb(n, size) - first)
-    # unrank `first` in the combinatorial number system
+    total = sum(comb(n, size) for size in range(t))
+    count = min(_LANE_BLOCK, total - first)
+    size, rank = _lane_size(n, first)
+    # the cuts of this size left from `rank` on, this one included
+    left = comb(n, size) - rank
+    # unrank `rank` in the combinatorial number system
     cut = 0
-    rank = first
     for i in range(size, 0, -1):
         c = i - 1
         while comb(c + 1, i) <= rank:
@@ -380,11 +416,17 @@ def _lane_block(n: int, size: int, block: int) -> tuple[int, int, int]:
     rests = []
     for _ in range(count):
         rests.append(full ^ cut)
-        if cut:
+        left -= 1
+        if left:
             # next set of the same size (Gosper's hack)
             low = cut & -cut
             ripple = cut + low
             cut = ripple | ((cut ^ ripple) >> 2) // low
+        else:
+            # the first, lowest set of the next size
+            size += 1
+            cut = (1 << size) - 1
+            left = comb(n, size)
     return (
         _pack(rests, n),
         _pack([rest & -rest for rest in rests], n),
@@ -406,25 +448,29 @@ def _connectivity_below(g: Graph, t: int) -> int:
     vertices, or min(t, n-1) when there is none."""
     adj, n = g.adj, g.n
     # a cut leaves at least two vertices, so it has at most n-2
-    for size in range(min(t, n - 1)):
-        for block in range(-(-comb(n, size) // _LANE_BLOCK)):
-            rests, frontier, ones = _lane_block(n, size, block)
-            # the vertices of each lane's rest that its closure has not
-            # reached; a lane that ends with any left is cut apart
-            unseen = rests ^ frontier
-            while frontier:
-                grown = 0
-                for v in range(n):
-                    col = frontier >> v & ones
-                    if col:
-                        # row v lands in every lane whose frontier holds v;
-                        # adj[v] < 2**n, so no lane carries into the next
-                        grown |= col * adj[v]
-                frontier = grown & unseen
-                unseen ^= frontier
-            if unseen:
-                return size
-    return min(t, n - 1)
+    t = min(t, n - 1)
+    lanes = sum(comb(n, size) for size in range(t))
+    for block in range(-(-lanes // _LANE_BLOCK)):
+        rests, frontier, ones = _lane_block(n, t, block)
+        # the vertices of each lane's rest that its closure has not
+        # reached; a lane that ends with any left is cut apart
+        unseen = rests ^ frontier
+        while frontier:
+            grown = 0
+            for v in range(n):
+                col = frontier >> v & ones
+                if col:
+                    # row v lands in every lane whose frontier holds v;
+                    # adj[v] < 2**n, so no lane carries into the next
+                    grown |= col * adj[v]
+            frontier = grown & unseen
+            unseen ^= frontier
+        if unseen:
+            # lanes run by size, so the lowest cut-apart lane is a
+            # smallest cut
+            lane = ((unseen & -unseen).bit_length() - 1) // n
+            return _lane_size(n, block * _LANE_BLOCK + lane)[0]
+    return t
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:

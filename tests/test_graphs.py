@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamclass import graphs
 from hamclass.generate import generate_connected
 from hamclass.graphs import (
     Graph,
@@ -27,6 +28,7 @@ from util import (
     cycle_graph,
     is_induced_path,
     path_graph,
+    random_connected_graph,
     random_graph,
     random_relabel,
     ref_graph6_decode,
@@ -103,23 +105,60 @@ def test_long_form_orders_63_64():
         assert back.n == n and back.adj == g.adj
 
 
+# Each malformed record with the text of its Graph6Error, frozen from the
+# codec that decoded one vertex pair at a time. After each record come one
+# with a non-ASCII character in the body (or in place of it) and a bytes
+# record that is not ASCII. The checks run in a fixed order: the order
+# prefix, the length, the first bad byte, the padding.
+MALFORMED = [
+    ("", "empty record"),
+    ("\xe9", "byte 233 outside graph6 range"),
+    (b"\xff", "record is not ascii"),
+    ("?", "order 0 not supported"),  # order 0
+    ("?\xe9", "order 0 not supported"),
+    (b"?\xff", "record is not ascii"),
+    ("D?", "expected 2 edge bytes for order 5, got 1"),  # truncated body
+    ("D\xe9", "expected 2 edge bytes for order 5, got 1"),
+    (b"D?\xff", "record is not ascii"),
+    ("D?{{", "expected 2 edge bytes for order 5, got 3"),  # trailing bytes
+    ("D?{\xe9", "expected 2 edge bytes for order 5, got 3"),
+    (b"D?{{\xff", "record is not ascii"),
+    ("D?}", "set bit in padding"),  # stray padding bit
+    ("D?\u20ac", "byte 8364 outside graph6 range"),
+    (b"D?}\xff", "record is not ascii"),
+    ("D\x1f{", "byte 31 outside graph6 range"),  # byte below 63
+    ("D\x1f\xe9", "byte 31 outside graph6 range"),
+    (b"D\x1f{\xff", "record is not ascii"),
+    ("~??@" + "?" * 326, "non-minimal length prefix"),  # n=1 in long form
+    ("~??@" + "?" * 325 + "\xe9", "non-minimal length prefix"),
+    (b"~??@" + b"?" * 326 + b"\xff", "record is not ascii"),
+    ("~~????", "8-byte length prefix implies order above 64"),
+    ("~~???\xe9", "8-byte length prefix implies order above 64"),
+    (b"~~????\xff", "record is not ascii"),
+    ("D\xe9{", "byte 233 outside graph6 range"),
+    ("D?\x7f", "byte 127 outside graph6 range"),
+    ("~?\xe9", "truncated long-form length prefix"),
+    (b"D?}", "set bit in padding"),
+]
+
+
 def test_malformed_records_rejected():
-    with pytest.raises(Graph6Error):
-        parse_graph6("")
-    with pytest.raises(Graph6Error):
-        parse_graph6("?")  # order 0
-    with pytest.raises(Graph6Error):
-        parse_graph6("D?")  # truncated body
-    with pytest.raises(Graph6Error):
-        parse_graph6("D?{{")  # trailing bytes
-    with pytest.raises(Graph6Error):
-        parse_graph6("D?}")  # stray padding bit
-    with pytest.raises(Graph6Error):
-        parse_graph6("D\x1f{")  # byte below 63
-    with pytest.raises(Graph6Error):
-        parse_graph6("~??@" + "?" * 326)  # non-minimal long form (n=1)
-    with pytest.raises(Graph6Error):
-        parse_graph6("~~????")  # 8-byte prefix
+    for record, text in MALFORMED:
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(record)
+        assert str(exc.value) == text, record
+
+
+def test_codec_matches_reference_at_every_order():
+    # every order the codec supports, sparse and dense, both ways
+    rng = random.Random(167)
+    for n in range(1, 65):
+        for p in (0.05, 0.5, 0.95):
+            g = random_graph(rng, n, p)
+            rec = ref_graph6_encode(n, set(g.edges()))
+            assert write_graph6(g) == rec
+            h = parse_graph6(rec)
+            assert (h.n, set(h.edges())) == ref_graph6_decode(rec)
 
 
 def test_parse_graph6_equals_checked_graph():
@@ -227,6 +266,63 @@ def test_connectivity_below_matches_reference():
             assert vertex_connectivity(g, at_most=t) == min(want, t)
     assert set(wants) == {0, 1, 2, 3, 4, 5, 6}
     assert wants[-3:] == [2, 2, 3]
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    return [packed >> (i * width) & ((1 << width) - 1) for i in range(count)]
+
+
+def test_lane_blocks_run_by_size_then_colex(monkeypatch):
+    # a width of 7 makes blocks start inside a size and straddle the size
+    # boundaries, so the first lane of a block is unranked from anywhere
+    monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
+    graphs._lane_block.cache_clear()
+    try:
+        for n in range(2, 10):
+            full = (1 << n) - 1
+            for t in range(n):
+                want = [
+                    full ^ cut
+                    for size in range(t)
+                    for cut in sorted(sum(c) for c in combinations([1 << v for v in range(n)], size))
+                ]
+                got = []
+                for block in range(-(-len(want) // 7)):
+                    rests, seeds, ones = graphs._lane_block(n, t, block)
+                    count = min(7, len(want) - 7 * block)
+                    lanes = _unpack(rests, n, count)
+                    assert rests >> (count * n) == 0
+                    assert _unpack(seeds, n, count) == [rest & -rest for rest in lanes]
+                    assert _unpack(ones, n, count) == [1] * count
+                    got += lanes
+                assert got == want, (n, t)
+    finally:
+        graphs._lane_block.cache_clear()
+
+
+def test_connectivity_below_narrow_blocks_match_reference(monkeypatch):
+    # all cut sizes share one packed closure and the answer is the size of
+    # the lowest lane left cut apart, so every t <= 6 must agree with the
+    # one-closure-per-cut reference when blocks of 7 lanes straddle the
+    # size boundaries (test_connectivity_below_matches_reference runs the
+    # full width); at orders 63 and 64, t = 3 takes 298 blocks
+    monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
+    graphs._lane_block.cache_clear()
+    try:
+        rng = random.Random(173)
+        drawn = [random_graph(rng, n, rng.random()) for n in range(2, 21) for _ in range(6)]
+        drawn += [random_connected_graph(rng, n, 0.25) for n in range(2, 21) for _ in range(2)]
+        for g in drawn:
+            for t in range(7):
+                want = connectivity_below_reference(g, t)
+                assert vertex_connectivity(g, at_most=t) == want, (write_graph6(g), t)
+        for n, s in ((63, 2), (64, 2), (63, 1), (64, 0)):
+            g = random_relabel(_joined_circulants(30, n - 30 - s, s, rng), rng)
+            assert vertex_connectivity(g, at_most=3) == s
+        c64 = Graph.from_edges(64, [(i, (i + d) % 64) for i in range(64) for d in (1, 2)])
+        assert vertex_connectivity(c64, at_most=3) == 3
+    finally:
+        graphs._lane_block.cache_clear()
 
 
 def test_connectivity_monotone_under_edge_addition():
