@@ -14,20 +14,11 @@ applies:
 - the walk `hamilton_cycle` / `hamilton_path` finds: the lexicographically
   first Hamilton sequence, from vertex 0 for cycles and over ascending
   start vertices for paths;
-- otherwise the incumbent of a branch and bound that prunes by reach
+- otherwise the incumbent of a branch and bound that prunes only by reach
   and starts from the seed cycle (from the single vertex 0 for paths). It
   visits walks in lexicographic order, cycles by ascending least vertex,
   and keeps the first walk longer than every earlier one. No spanning walk
   exists, so it stops as soon as its incumbent has n - 1 vertices.
-
-A path alternates between the sides of a 2-colouring, so in a connected
-bipartite graph whose smaller side has m vertices it has at most 2m + 1
-of them, and the rest of a path that ends at u has at most one more
-vertex from the side opposite u than from u's side. `detour_order` stops
-at 2m + 1 when that is below n - 1, and prunes a branch whose reach
-cannot beat the incumbent under the alternation. A pruned branch holds no
-walk longer than the incumbent and a stop comes only at the largest
-possible length, so the first longest walk, the witness, is unchanged.
 
 The Hamilton solvers prune harder, by vertices short of free neighbours.
 `hamilton_cycle` needs no separate pass for the edges forced at a degree-2
@@ -160,9 +151,9 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 # Hamilton cycle / path
 
 
-def _sides(adj: tuple[int, ...], full: int) -> tuple[int, int] | None:
-    """The two sides of the 2-colouring of a connected graph, the side of
-    vertex 0 first, or None when the graph has no 2-colouring."""
+def _colour_gap(adj: tuple[int, ...], full: int) -> int:
+    """How many more vertices one side of the 2-colouring of a connected
+    graph has than the other, or 0 when the graph has no 2-colouring."""
     sides = [1, 0]
     seen = frontier = 1
     colour = 0
@@ -177,15 +168,6 @@ def _sides(adj: tuple[int, ...], full: int) -> tuple[int, int] | None:
     # breadth-first layers alternate sides, so an odd cycle shows as an
     # edge inside one side
     if any(adj[x] & side for side in sides for x in bits(side)):
-        return None
-    return sides[0], sides[1]
-
-
-def _colour_gap(adj: tuple[int, ...], full: int) -> int:
-    """How many more vertices one side of the 2-colouring of a connected
-    graph has than the other, or 0 when the graph has no 2-colouring."""
-    sides = _sides(adj, full)
-    if sides is None:
         return 0
     return abs(sides[0].bit_count() - sides[1].bit_count())
 
@@ -514,8 +496,7 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
     """Exact longest-path order with a witness (order 1 for edgeless graphs).
 
     A path `hamilton_path` finds is the answer; otherwise branch and bound
-    stops at n - 1, or at 2m + 1 in a connected bipartite graph whose
-    smaller side has m vertices.
+    stops at n - 1.
     """
     n = g.n
     spanning = hamilton_path(g)
@@ -525,38 +506,20 @@ def detour_order(g: Graph) -> tuple[int, PathWitness]:
     best = 1
     best_path: tuple[int, ...] = (0,)
     full = g.vertex_mask
-    limit = n - 1
-    side_of = None
-    sides = _sides(adj, full) if joined(adj, full, full) else None
-    if sides is not None:
-        # a path alternates sides, so it holds at most one more vertex of
-        # either side than of the other
-        limit = min(limit, 2 * min(side.bit_count() for side in sides) + 1)
-        side_of = [sides[0] if sides[0] >> v & 1 else sides[1] for v in range(n)]
     path: list[int] = []
 
     def grow(u: int, used: int) -> bool:
-        """Search below `path`; True once the incumbent reaches `limit`."""
+        """Search below `path`; True once the incumbent has n - 1 vertices."""
         nonlocal best, best_path
         plen = len(path)
         if plen > best:
             best = plen
             best_path = tuple(path)
-            if best == limit:
+            if best == n - 1:
                 return True
         avail = full & ~used
         cands = adj[u] & avail
-        if not cands:
-            return False
-        reach = closure_mask(adj, avail, cands)
-        room = reach.bit_count()
-        if side_of is not None:
-            # the rest of the path starts on the other side from u and
-            # alternates, so it takes at most one more vertex from there
-            # than from u's side
-            same = (reach & side_of[u]).bit_count()
-            room = min(2 * (room - same), 2 * same + 1)
-        if plen + room > best:
+        if cands and plen + closure_mask(adj, avail, cands).bit_count() > best:
             for w in bits(cands):
                 path.append(w)
                 if grow(w, used | (1 << w)):

@@ -12,7 +12,6 @@ from hamclass.graphs import (
     petersen,
     write_graph6,
 )
-from hamclass import walks
 from hamclass.walks import (
     CycleWitness,
     PathWitness,
@@ -369,45 +368,6 @@ def test_longest_walks_match_reference(corpus):
     # handoff
     for g in _corpus_and_random(corpus, 149, 15):
         _longest_agree(g)
-
-
-def test_detour_order_matches_reference_on_bipartite_graphs():
-    # a path alternates sides, so the branch and bound stops at 2m + 1 for
-    # a smaller side of m vertices and prunes by the alternation; neither
-    # changes the first longest path. Random graphs with a low edge
-    # probability are often disconnected, where no side bound applies.
-    for a in range(1, 12):
-        for b in range(1, 13 - a):
-            g = complete_bipartite(a, b)
-            assert detour_order(g) == detour_order_reference(g), (a, b)
-    rng = random.Random(193)
-    for _ in range(300):
-        n = rng.randint(2, 12)
-        a = rng.randint(1, n - 1)
-        p = rng.uniform(0.1, 1.0)
-        edges = [(x, y) for x in range(a) for y in range(a, n) if rng.random() < p]
-        g = random_relabel(Graph.from_edges(n, edges), rng)
-        assert detour_order(g) == detour_order_reference(g), write_graph6(g)
-
-
-def test_detour_order_bipartite_bound_cuts_the_search(monkeypatch):
-    # every node of the branch and bound grows one reach closure. Without
-    # the side bounds K_{5,7} ran the whole search below the five starts
-    # on its smaller side: 242,950 closures.
-    calls = 0
-    closure = walks.closure_mask
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return closure(*args)
-
-    monkeypatch.setattr(walks, "closure_mask", counted)
-    assert detour_order(complete_bipartite(5, 7)) == (
-        11,
-        PathWitness((5, 0, 6, 1, 7, 2, 8, 3, 9, 4, 10)),
-    )
-    assert calls < 100
 
 
 def test_longest_walks_match_reference_on_hypohamiltonian_graphs():
