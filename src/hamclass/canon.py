@@ -37,7 +37,11 @@ Cells = list[tuple[int, ...]]
 
 
 def refine(
-    adj: tuple[int, ...], cells: Cells, watch: tuple[int, int] | None = None
+    adj: tuple[int, ...],
+    cells: Cells,
+    watch: tuple[int, int] | None = None,
+    *,
+    uniform: set[tuple[int, ...]] | None = None,
 ) -> Cells | None:
     """Equitable refinement of an ordered partition.
 
@@ -51,23 +55,15 @@ def refine(
     therefore returns None as soon as a split puts a tie in a part before
     v's part, which is exactly when the unwatched refinement places a tie
     in an earlier cell than v; otherwise it returns the same cells.
+
+    `uniform` holds cells already known to be uniform on every cell. A
+    splitter uniform on every cell stays uniform on every part of a later
+    split, so the restart skips it and the splits made are those made
+    without the hint. Cells only shrink, so no part ever equals a tuple
+    recorded before. On return `uniform` holds every cell.
     """
-    return _refine(adj, cells, set(), watch)
-
-
-def _refine(
-    adj: tuple[int, ...],
-    cells: Cells,
-    uniform: set[tuple[int, ...]],
-    watch: tuple[int, int] | None = None,
-) -> Cells | None:
-    """`refine`, given cells already known to be uniform on every cell.
-
-    A splitter uniform on every cell stays uniform on every part of a later
-    split, so the restart skips it and the splits made are those `refine`
-    makes without the hint. Cells only shrink, so no part ever equals a
-    tuple recorded before. On return `uniform` holds every cell.
-    """
+    if uniform is None:
+        uniform = set()
     cells = list(cells)
     i = 0
     while i < len(cells):
@@ -133,7 +129,7 @@ def _search(
 
     def descend(cells: Cells, uniform: set[tuple[int, ...]]) -> None:
         nonlocal best, best_order
-        cells = _refine(adj, cells, uniform)
+        cells = refine(adj, cells, uniform=uniform)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]

@@ -19,11 +19,14 @@ its own message: the order prefix, the length, the first byte outside
 The connectivity floor `vertex_connectivity(g, at_most=t)` tries every
 cut of fewer than t vertices in one packed closure. The vertex set each
 cut leaves sits in its own n-bit lane of one integer, lanes ordered by
-cut size and then in colex order, and one breadth-first search grows all
-lanes at once, n shifts and multiplies per round whatever the lane count.
-A lane left with unreached vertices is cut apart, so the smallest cut is
-the size of the lowest such lane. Blocks of `_LANE_BLOCK` lanes bound the
-integers; each block is built once per (n, t, block) and cached.
+cut size and, within a size, in the order `itertools.combinations`
+gives, and one breadth-first search grows all lanes at once, n shifts
+and multiplies per round whatever the lane count. A lane left with
+unreached vertices is cut apart, so the smallest cut is the stored size
+of the lowest such lane. Blocks of `_LANE_BLOCK` lanes bound the
+integers. Each (n, t) keeps one cached sequence of blocks, taken in
+order from one lazy stream of cuts: a block is built when a call first
+reaches it, so none is built past the one that answers.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from __future__ import annotations
 from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations, count, islice
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -288,10 +290,7 @@ def joined(adj: tuple[int, ...] | list[int], allowed: int, targets: int) -> bool
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    reach = closure_mask(g.adj, g.vertex_mask, 1)
-    return reach == g.vertex_mask
+    return joined(g.adj, g.vertex_mask, g.vertex_mask)
 
 
 def _disjoint_paths(g: Graph, s: int, t: int, cutoff: int) -> int:
@@ -373,64 +372,41 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
 
 # Cuts tested by one packed closure. Wider blocks mean fewer, longer
 # integer operations. At n = 64, widths from 256 to 2048 ran level and an
-# unblocked pack was up to twice as slow. The width also bounds each cached
-# table: at n = 64 an entry is three 8 kB integers, so the cache holds at
-# most about 6 MB.
+# unblocked pack was up to twice as slow. The width also bounds each
+# block: at n = 64 one is three 8 kB integers and 1 kB of sizes. The
+# cache keeps at most ceil(sum of C(n, s) for s < t / width) blocks per
+# (n, t), and only those some call has reached: at n = 64, t = 3 is 3
+# blocks and t = 4 is 43.
 _LANE_BLOCK = 1024
 
 
-def _lane_size(n: int, lane: int) -> tuple[int, int]:
-    """(size, rank) of a lane: the cuts of n vertices are taken by size,
-    then in colex order (the order of their bitmasks), and lane `lane` holds
-    the cut of rank `rank` among those of its size."""
-    size = 0
-    while lane >= (count := comb(n, size)):
-        lane -= count
-        size += 1
-    return size, lane
+@lru_cache(maxsize=None)
+def _lane_blocks(n: int, t: int) -> tuple[list[tuple[int, int, int, bytes]], Iterator[tuple[int, ...]]]:
+    """The blocks of (n, t) built so far, and the cuts not yet in a block.
 
-
-@lru_cache(maxsize=256)
-def _lane_block(n: int, t: int, block: int) -> tuple[int, int, int]:
-    """(rests, seeds, ones) for one block of the cuts of fewer than t of n
-    vertices, lanes block * _LANE_BLOCK onwards in the order of `_lane_size`.
-
-    Lane i holds bits i*n .. i*n + n-1: of `rests`, the vertices the cut
-    leaves; of `seeds`, the lowest of them; of `ones`, bit 0 only.
+    The cuts of fewer than t of the n vertices, each a tuple of vertex
+    bits, run by size and, within a size, in the order `combinations`
+    gives. `_connectivity_below` takes `_LANE_BLOCK` of them for each
+    block when a call first reaches it.
     """
-    first = block * _LANE_BLOCK
-    total = sum(comb(n, size) for size in range(t))
-    count = min(_LANE_BLOCK, total - first)
-    size, rank = _lane_size(n, first)
-    # the cuts of this size left from `rank` on, this one included
-    left = comb(n, size) - rank
-    # unrank `rank` in the combinatorial number system
-    cut = 0
-    for i in range(size, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= rank:
-            c += 1
-        cut |= 1 << c
-        rank -= comb(c, i)
+    vertex_bits = [1 << v for v in range(n)]
+    return [], chain.from_iterable(combinations(vertex_bits, s) for s in range(t))
+
+
+def _lane_block(cuts: list[tuple[int, ...]], n: int) -> tuple[int, int, int, bytes]:
+    """(rests, seeds, ones, sizes) for one block of cuts.
+
+    Lane i holds bits i*n .. i*n + n-1: of `rests`, the vertices cut i
+    leaves; of `seeds`, the lowest of them; of `ones`, bit 0 only.
+    `sizes[i]` is the size of cut i.
+    """
     full = (1 << n) - 1
-    rests = []
-    for _ in range(count):
-        rests.append(full ^ cut)
-        left -= 1
-        if left:
-            # next set of the same size (Gosper's hack)
-            low = cut & -cut
-            ripple = cut + low
-            cut = ripple | ((cut ^ ripple) >> 2) // low
-        else:
-            # the first, lowest set of the next size
-            size += 1
-            cut = (1 << size) - 1
-            left = comb(n, size)
+    rests = [full ^ sum(cut) for cut in cuts]
     return (
         _pack(rests, n),
         _pack([rest & -rest for rest in rests], n),
-        _pack([1] * count, n),
+        _pack([1] * len(cuts), n),
+        bytes(map(len, cuts)),
     )
 
 
@@ -449,9 +425,19 @@ def _connectivity_below(g: Graph, t: int) -> int:
     adj, n = g.adj, g.n
     # a cut leaves at least two vertices, so it has at most n-2
     t = min(t, n - 1)
-    lanes = sum(comb(n, size) for size in range(t))
-    for block in range(-(-lanes // _LANE_BLOCK)):
-        rests, frontier, ones = _lane_block(n, t, block)
+    blocks, cuts = _lane_blocks(n, t)
+    for block in count():
+        if block == len(blocks):
+            chunk = list(islice(cuts, _LANE_BLOCK))
+            if not chunk:
+                return t
+            try:
+                blocks.append(_lane_block(chunk, n))
+            except BaseException:
+                # the chunk's cuts are spent, so (n, t) must start afresh
+                _lane_blocks.cache_clear()
+                raise
+        rests, frontier, ones, sizes = blocks[block]
         # the vertices of each lane's rest that its closure has not
         # reached; a lane that ends with any left is cut apart
         unseen = rests ^ frontier
@@ -468,9 +454,7 @@ def _connectivity_below(g: Graph, t: int) -> int:
         if unseen:
             # lanes run by size, so the lowest cut-apart lane is a
             # smallest cut
-            lane = ((unseen & -unseen).bit_length() - 1) // n
-            return _lane_size(n, block * _LANE_BLOCK + lane)[0]
-    return t
+            return sizes[((unseen & -unseen).bit_length() - 1) // n]
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:

@@ -60,7 +60,9 @@ component of the unused vertices without w, since every other unused
 vertex reached w through one of them. So only a w with two or more unused
 neighbours needs a test, and `joined` stops as soon as it has seen them
 all. Under the invariant every unused vertex is reachable from the unused
-neighbours of the end, so no node runs a full reach closure. Each branch
+neighbours of the end, so no node runs a full reach closure, and every
+node below a leaf has a step: the unused vertices stay connected and
+include a neighbour of the end. Each branch
 a failed test cuts has no spanning completion, so the search visits a
 subset of the nodes a per-node closure test visits, in the same order,
 and returns the same witness, or None.
@@ -220,8 +222,6 @@ def hamilton_cycle(g: Graph) -> CycleWitness | None:
             return None
         unused = full & ~used
         cands = adj[u] & unused
-        if not cands:
-            return None
         if not closers & unused:
             return None
         if weak:
@@ -322,8 +322,6 @@ def hamilton_path(g: Graph) -> PathWitness | None:
             return None
         unused = full & ~used
         cands = adj[u] & unused
-        if not cands:
-            return None
         nbrs = cands
         while nbrs:
             x = nbrs & -nbrs

@@ -272,32 +272,83 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     return [packed >> (i * width) & ((1 << width) - 1) for i in range(count)]
 
 
-def test_lane_blocks_run_by_size_then_colex(monkeypatch):
+def test_lane_blocks_hold_every_cut_once_by_size(monkeypatch):
     # a width of 7 makes blocks start inside a size and straddle the size
-    # boundaries, so the first lane of a block is unranked from anywhere
+    # boundaries; a complete graph has no cut, so its floor test builds
+    # every block of (n, t)
     monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
-    graphs._lane_block.cache_clear()
+    graphs._lane_blocks.cache_clear()
     try:
         for n in range(2, 10):
             full = (1 << n) - 1
             for t in range(n):
-                want = [
-                    full ^ cut
-                    for size in range(t)
-                    for cut in sorted(sum(c) for c in combinations([1 << v for v in range(n)], size))
-                ]
-                got = []
-                for block in range(-(-len(want) // 7)):
-                    rests, seeds, ones = graphs._lane_block(n, t, block)
-                    count = min(7, len(want) - 7 * block)
+                assert vertex_connectivity(complete_graph(n), at_most=t) == t
+                blocks, cuts = graphs._lane_blocks(n, t)
+                assert next(cuts, None) is None
+                got, sizes = [], []
+                for rests, seeds, ones, block_sizes in blocks:
+                    count = len(block_sizes)
+                    assert 0 < count <= 7
                     lanes = _unpack(rests, n, count)
                     assert rests >> (count * n) == 0
                     assert _unpack(seeds, n, count) == [rest & -rest for rest in lanes]
                     assert _unpack(ones, n, count) == [1] * count
+                    assert list(block_sizes) == [n - rest.bit_count() for rest in lanes]
                     got += lanes
-                assert got == want, (n, t)
+                    sizes += block_sizes
+                assert [len(b[3]) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+                want = [
+                    full ^ sum(cut)
+                    for size in range(t)
+                    for cut in combinations([1 << v for v in range(n)], size)
+                ]
+                assert sorted(got) == sorted(want) and len(set(got)) == len(got), (n, t)
+                assert sizes == sorted(sizes), (n, t)
     finally:
-        graphs._lane_block.cache_clear()
+        graphs._lane_blocks.cache_clear()
+
+
+def test_lane_blocks_are_built_only_when_reached(monkeypatch):
+    # at width 7 the first block of (8, 3) holds the empty cut and the
+    # single vertices 0..5, the second the vertices 6 and 7 and five pairs
+    monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
+    graphs._lane_blocks.cache_clear()
+    try:
+        blocks, _ = graphs._lane_blocks(8, 3)
+        assert vertex_connectivity(path_graph(8), at_most=3) == 1
+        assert len(blocks) == 1
+        first = blocks[0]
+        # vertex 6 is the only cut vertex, in the second block
+        tailed = Graph.from_edges(8, [(i, j) for i in range(7) for j in range(i + 1, 7)] + [(6, 7)])
+        assert vertex_connectivity(tailed, at_most=3) == 1
+        assert len(blocks) == 2 and blocks[0] is first
+        assert vertex_connectivity(path_graph(8), at_most=3) == 1
+        assert len(blocks) == 2 and blocks[0] is first
+    finally:
+        graphs._lane_blocks.cache_clear()
+
+
+def test_interrupted_lane_block_build_is_not_kept(monkeypatch):
+    # a build that raises has taken its cuts from the stream, so the next
+    # call must start (n, t) afresh rather than go on without them. Vertex
+    # 1, in the first block, is the only cut vertex; every later pair
+    # {1, x} with x > 1 cuts 0 off.
+    monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
+    graphs._lane_blocks.cache_clear()
+    build = graphs._lane_block
+
+    def interrupted(cuts, n):
+        raise KeyboardInterrupt
+
+    g = Graph.from_edges(8, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)] + [(0, 1)])
+    try:
+        monkeypatch.setattr(graphs, "_lane_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            vertex_connectivity(g, at_most=3)
+        monkeypatch.setattr(graphs, "_lane_block", build)
+        assert vertex_connectivity(g, at_most=3) == 1
+    finally:
+        graphs._lane_blocks.cache_clear()
 
 
 def test_connectivity_below_narrow_blocks_match_reference(monkeypatch):
@@ -307,7 +358,7 @@ def test_connectivity_below_narrow_blocks_match_reference(monkeypatch):
     # size boundaries (test_connectivity_below_matches_reference runs the
     # full width); at orders 63 and 64, t = 3 takes 298 blocks
     monkeypatch.setattr(graphs, "_LANE_BLOCK", 7)
-    graphs._lane_block.cache_clear()
+    graphs._lane_blocks.cache_clear()
     try:
         rng = random.Random(173)
         drawn = [random_graph(rng, n, rng.random()) for n in range(2, 21) for _ in range(6)]
@@ -322,7 +373,7 @@ def test_connectivity_below_narrow_blocks_match_reference(monkeypatch):
         c64 = Graph.from_edges(64, [(i, (i + d) % 64) for i in range(64) for d in (1, 2)])
         assert vertex_connectivity(c64, at_most=3) == 3
     finally:
-        graphs._lane_block.cache_clear()
+        graphs._lane_blocks.cache_clear()
 
 
 def test_connectivity_monotone_under_edge_addition():
