@@ -6,9 +6,8 @@ walks, so a fixed graph always yields the same witness. The intended scale
 is the exhaustive small-order searches used by the class deciders; nothing
 here is meant for graphs much beyond 20 vertices.
 
-`circumference` and `detour_order` decide the spanning question first,
-each with the solver built for it, and return the first of these that
-applies:
+`circumference` and `detour_order` decide the spanning question first
+and return the first of these that applies:
 
 - a spanning seed cycle (`circumference` only), as it is;
 - the walk `hamilton_cycle` / `hamilton_path` finds: the lexicographically
@@ -20,59 +19,59 @@ applies:
   and keeps the first walk longer than every earlier one. No spanning walk
   exists, so it stops as soon as its incumbent has n - 1 vertices.
 
-The Hamilton solvers prune harder, by vertices short of free neighbours.
-`hamilton_cycle` needs no separate pass for the edges forced at a degree-2
-vertex: once a neighbour of it other than vertex 0 is on the path, that
-vertex is short and must come next.
+One search answers both Hamilton questions. `_spanning_path(adj, verts,
+ends, gap)` returns the lexicographically first Hamilton path of the
+graph on `verts` that runs from a vertex of `ends` to a higher one. A
+Hamilton path of G is one with `verts` and `ends` both every vertex. A
+Hamilton cycle 0, a, ..., c is vertex 0 and then a Hamilton path of
+G - 0 from a to c, two neighbours of 0, so `hamilton_cycle` asks for a
+path of G - 0 whose ends are neighbours of 0 and puts 0 in front.
+Putting 0 in front keeps the lexicographic order, so the first such path
+gives the first cycle.
 
-Both Hamilton solvers carry their set of short vertices down the search.
-A vertex's count of free neighbours changes only when a neighbour stops
-being free, so a step recounts only the neighbours of that vertex. The
-carried set is the one a rescan of every unused vertex would give at each
-node, so every prune tests the same predicate and no witness can change.
+The search tries the starts in ascending order, and under start s only
+the `allowed` vertices, the ends above s, may end the path. A path from s
+that ends at e < s reverses into a path from e, and start e has already
+failed. The highest end has no end above it, so it is not tried. The
+first Hamilton path ends above its start, since otherwise its reverse
+would come first; the first Hamilton cycle has a < c for the same reason.
 
-Both Hamilton solvers also break the direction symmetry. Each returns the
-lexicographically first Hamilton sequence, so when it tries a branch,
-every earlier branch has failed, and so has every walk whose reverse
-starts in one of them.
-- A cycle 0, a, ..., c with c < a reverses into 0, c, ..., a. So under
-  the first step a, only the `closers`, the neighbours of 0 above a, may
-  end the cycle. The leaf asks for a closer, a node needs a free closer,
-  and the weak count credits 0 only to closers. The last neighbour of 0
-  has no closer, so its branch is not tried.
-- A path from s that ends at e < s reverses into a path from e. So the
-  end must lie above s: a short vertex below s ends the branch, and the
-  last start is not tried.
+Every other rule cuts only branches that have no completion at all.
+- A vertex of `verts` with at most one neighbour in `verts` can only end
+  the path, so more than two of them, or one that is not in `ends`,
+  answer None before any search; the others are the first `short` set.
+- `short` holds the unused vertices with at most one unused neighbour.
+  A vertex's count changes only when a neighbour is used, so the set is
+  carried down the search, and each node recounts only the unused
+  neighbours of its end u. When a node is entered, the carried counts
+  still include u: a short vertex then has at most one neighbour among
+  the unused vertices and u, so it can only be the last vertex. Two of
+  them, or one that is not allowed, end the branch.
+- An unused neighbour of u with at most one unused neighbour that is not
+  allowed cannot be last, so it needs u as its other neighbour on the
+  path: it must come next, and two of them end the branch.
+- The path must end at an allowed vertex, so a node needs an unused one.
+  The last unused vertex is then allowed, and the leaf checks nothing.
+- The rest of a Hamilton path is a spanning path of the unused vertices,
+  so they must induce a connected graph. That holds at a start s when
+  `verts` is connected and the neighbours of s are joined without s. A
+  step to w keeps it iff the unused neighbours of w lie in one component
+  of the unused vertices without w, since every other unused vertex
+  reached w through one of them. So only a w with two or more unused
+  neighbours needs a test, and `joined` stops as soon as it has seen them
+  all. No node runs a full reach closure, and every node short of a leaf
+  has a step: the unused vertices stay connected and include a
+  neighbour of the end.
+- A Hamilton path alternates between the sides of a 2-colouring, so the
+  sides of a bipartite graph with a Hamilton path differ by at most one,
+  and those of one with a Hamilton cycle not at all. `gap` is that bound
+  for the whole graph: 1 for paths, 0 for cycles. The test runs only
+  once the first start has failed, so a graph whose first start holds a
+  walk pays nothing for it.
 
-The first Hamilton cycle has a < c and the first Hamilton path ends above
-its start, so each is still found, and no witness changes. The carried
-weak set is still the one a rescan under the closer-restricted count
-gives: counts change only when a vertex is used, and once at the root
-step, where the neighbours of 0 that are not closers lose 0 and are
-recounted.
-
-Both Hamilton solvers also keep the unused vertices inducing a connected
-graph. The rest of a spanning walk is a spanning path of them, so nothing
-is lost. It holds at the root when G - 0 is connected (cycles), or when G
-is connected and the neighbours of the start s are joined in G - s
-(paths). A step to w keeps it iff the unused neighbours of w lie in one
-component of the unused vertices without w, since every other unused
-vertex reached w through one of them. So only a w with two or more unused
-neighbours needs a test, and `joined` stops as soon as it has seen them
-all. Under the invariant every unused vertex is reachable from the unused
-neighbours of the end, so no node runs a full reach closure, and every
-node below a leaf has a step: the unused vertices stay connected and
-include a neighbour of the end. Each branch
-a failed test cuts has no spanning completion, so the search visits a
-subset of the nodes a per-node closure test visits, in the same order,
-and returns the same witness, or None.
-
-A Hamilton walk alternates between the sides of a 2-colouring, so a
-bipartite graph whose sides differ in size has no Hamilton cycle, and
-one whose sides differ by two or more has no Hamilton path. Each solver
-asks this only after its first root branch (cycles) or first start
-(paths) has failed, so a graph whose first branch holds a walk pays
-nothing for it, and the answer is None either way.
+The search visits branches in lexicographic order and cuts none that
+holds a walk it is asked for, so it returns the first such walk, or
+None, whatever it prunes: no witness depends on the rules.
 
 The branch and bound starts from a seed cycle: the first DFS cycle,
 grown by outside detours in one sweep over its edges. For an edge (a, b)
@@ -174,153 +173,23 @@ def _colour_gap(adj: tuple[int, ...], full: int) -> int:
     return abs(sides[0].bit_count() - sides[1].bit_count())
 
 
-def hamilton_cycle(g: Graph) -> CycleWitness | None:
-    """First Hamilton cycle in ascending search order, or None.
-
-    The root loops over the first step 0 -> a. A cycle 0, a, ..., c with
-    c < a reverses into 0, c, ..., a, which the earlier branch 0 -> c
-    would have found, so only the `closers`, the neighbours of 0 above a,
-    may end the cycle. The last neighbour of 0 has none and is not tried.
-
-    `weak` holds the unused vertices with fewer than two neighbours among
-    the unused vertices and, for a closer, 0. Such a vertex must come
-    next, since later it would need two, so two of them end the branch. A
-    step to w takes w out of the counted set, so only the unused
-    neighbours of w change; at the root step the neighbours of 0 that are
-    not closers change too, since they lose 0.
-
-    The unused vertices induce a connected graph at every node, since the
-    rest of the cycle is a spanning path of them: G - 0 must be connected,
-    and a step to w keeps them connected iff the unused neighbours of w
-    are joined without it (every other unused vertex reached w through one
-    of them). A step that would split them has no spanning completion and
-    is not taken, so no full reach closure runs at a node and no witness
-    changes.
-
-    Once the first branch has failed, a 2-colouring with unequal sides
-    refutes the rest at once.
+def _spanning_path(adj: tuple[int, ...], verts: int, ends: int, gap: int) -> tuple[int, ...] | None:
+    """First Hamilton path of the graph on `verts` that runs from a vertex
+    of `ends` to a higher one, in ascending search order, or None. The
+    2-colouring of the whole graph `adj` may have sides that differ by at
+    most `gap`. The rules are argued in the module docstring.
     """
-    n = g.n
-    adj = g.adj
-    if n < 3:
-        return None
-    if any(row.bit_count() < 2 for row in adj):
-        return None
-    full = g.vertex_mask
-    if not joined(adj, full ^ 1, full ^ 1):
-        return None
-
-    path = [0]
-    closers = 0
-    # the rows the weak count reads: 0 stays only in the rows of closers
-    rows = list(adj)
-
-    def extend(u: int, used: int, weak: int) -> tuple[int, ...] | None:
-        if len(path) == n:
-            return tuple(path) if closers >> u & 1 else None
-        if weak & (weak - 1):
-            return None
-        unused = full & ~used
-        cands = adj[u] & unused
-        if not closers & unused:
-            return None
-        if weak:
-            cands &= weak
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            w = low.bit_length() - 1
-            rest = unused ^ low
-            nbrs = adj[w] & rest
-            if nbrs & (nbrs - 1) and not joined(adj, rest, nbrs):
-                continue
-            counted = rest | 1
-            below = weak & ~low
-            while nbrs:
-                x = nbrs & -nbrs
-                nbrs ^= x
-                if (rows[x.bit_length() - 1] & counted).bit_count() < 2:
-                    below |= x
-            path.append(w)
-            got = extend(w, used | low, below)
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
-    for i, a in enumerate(bits(adj[0])):
-        low = 1 << a
-        closers = adj[0] & ~((low << 1) - 1)
-        if not closers:
-            break
-        if i == 1 and _colour_gap(adj, full):
-            return None
-        rest = full ^ 1 ^ low
-        if joined(adj, rest, adj[a] & rest):
-            # every degree is at least 2, so only the neighbours of a and
-            # the earlier first steps, which lost 0, can be weak
-            check = (adj[a] | adj[0] & ~closers) & rest
-            counted = rest | 1
-            weak = 0
-            while check:
-                x = check & -check
-                check ^= x
-                if (rows[x.bit_length() - 1] & counted).bit_count() < 2:
-                    weak |= x
-            path[1:] = [a]
-            found = extend(a, 1 | low, weak)
-            if found is not None:
-                return CycleWitness(found)
-        # a closes no cycle of a later branch
-        rows[a] ^= 1
-    return None
-
-
-def hamilton_path(g: Graph) -> PathWitness | None:
-    """First Hamilton path in ascending search order, or None.
-
-    `short` holds the unused vertices with at most one neighbour among the
-    unused vertices and the end u. Such a vertex can only end the path, so
-    two of them end the branch. A step from u takes u out of the counted
-    set, so only the unused neighbours of u change, the same for every
-    step from u.
-
-    The end must lie above the start s: a path that ends at e < s reverses
-    into a path from e, and start e has already failed. So a short vertex
-    below s ends the branch, and the last start is not tried.
-
-    The unused vertices induce a connected graph at every node, since the
-    rest of the path is a spanning path of them: G must be connected and
-    the neighbours of a start s joined in G - s, and a step to w keeps them
-    connected iff the unused neighbours of w are joined without it. A step
-    that would split them has no spanning completion and is not taken. So
-    an unused vertex with no neighbour among the unused vertices and u is
-    the only unused vertex, and u has no step.
-
-    Once the first start has failed, a 2-colouring whose sides differ by
-    two or more refutes the rest at once.
-    """
-    n = g.n
-    adj = g.adj
-    if n == 1:
-        return PathWitness((0,))
-    full = g.vertex_mask
-    if not joined(adj, full, full):
-        return None
-    # vertices of degree 1 can only be ends of the path
-    ends = mask_of(v for v in range(n) if adj[v].bit_count() <= 1)
-    if ends.bit_count() > 2:
+    low = verts & mask_of(v for v, row in enumerate(adj) if (row & verts).bit_count() <= 1)
+    if low.bit_count() > 2 or low & ~ends or not joined(adj, verts, verts):
         return None
 
     path: list[int] = []
-    below = 0
 
-    def extend(u: int, used: int, short: int) -> tuple[int, ...] | None:
-        if len(path) == n:
-            return tuple(path) if u > path[0] else None
-        if short & (short - 1) or short & below:
+    def extend(u: int, unused: int, short: int) -> tuple[int, ...] | None:
+        if not unused:
+            return tuple(path)
+        if short & (short - 1) or short & ~allowed or not allowed & unused:
             return None
-        unused = full & ~used
         cands = adj[u] & unused
         nbrs = cands
         while nbrs:
@@ -328,33 +197,57 @@ def hamilton_path(g: Graph) -> PathWitness | None:
             nbrs ^= x
             if (adj[x.bit_length() - 1] & unused).bit_count() <= 1:
                 short |= x
+        forced = short & ~allowed
+        if forced:
+            if forced & (forced - 1):
+                return None
+            cands = forced
         while cands:
-            low = cands & -cands
-            cands ^= low
-            w = low.bit_length() - 1
-            rest = unused ^ low
+            bit = cands & -cands
+            cands ^= bit
+            w = bit.bit_length() - 1
+            rest = unused ^ bit
             nbrs = adj[w] & rest
             if nbrs & (nbrs - 1) and not joined(adj, rest, nbrs):
                 continue
             path.append(w)
-            got = extend(w, used | low, short & ~low)
+            got = extend(w, rest, short & ~bit)
             if got is not None:
                 return got
             path.pop()
         return None
 
-    for s in range(n - 1):
-        if s == 1 and _colour_gap(adj, full) > 1:
+    # each start leaves the ends above it in `allowed`; the 2-colouring is
+    # asked once, before the second start
+    allowed = ends
+    while allowed & (allowed - 1):
+        if allowed == ends & (ends - 1) and _colour_gap(adj, (1 << len(adj)) - 1) > gap:
             return None
-        bit = 1 << s
-        if not joined(adj, full ^ bit, adj[s]):
-            continue
-        below = bit - 1
-        path[:] = [s]
-        got = extend(s, bit, ends & ~bit)
-        if got is not None:
-            return PathWitness(got)
+        bit = allowed & -allowed
+        allowed ^= bit
+        s = bit.bit_length() - 1
+        rest = verts ^ bit
+        if joined(adj, rest, adj[s] & rest):
+            path[:] = [s]
+            got = extend(s, rest, low & ~bit)
+            if got is not None:
+                return got
     return None
+
+
+def hamilton_cycle(g: Graph) -> CycleWitness | None:
+    """First Hamilton cycle in ascending search order, or None: vertex 0
+    and the first Hamilton path of G - 0 between two neighbours of 0."""
+    found = _spanning_path(g.adj, g.vertex_mask ^ 1, g.adj[0], 0)
+    return None if found is None else CycleWitness((0, *found))
+
+
+def hamilton_path(g: Graph) -> PathWitness | None:
+    """First Hamilton path in ascending search order, or None."""
+    if g.n == 1:
+        return PathWitness((0,))
+    found = _spanning_path(g.adj, g.vertex_mask, g.vertex_mask, 1)
+    return None if found is None else PathWitness(found)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hamclass
-from hamclass.cli import main
+from hamclass.cli import _workers, main
 from hamclass.graphs import petersen, write_graph6
 from util import complete_graph, cycle_graph, path_graph
 
@@ -186,6 +186,10 @@ def test_scan_rejects_bad_workers(monkeypatch, capsys, raw):
     code, _, err = run(capsys, ["scan", "--n", "5", "--k", "1"])
     assert code == 2
     assert f"HAMCLASS_WORKERS must be a positive integer, got {raw!r}" in err
+    # unset, it means one worker per CPU
+    monkeypatch.delenv("HAMCLASS_WORKERS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _workers() == 3
 
 
 def test_bounds_threshold_only(capsys):

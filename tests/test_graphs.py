@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -47,6 +48,13 @@ def test_graph_invariants_rejected():
         Graph(2, (0b01, 0b10))  # loop at 0
     with pytest.raises(ValueError):
         Graph(2, (0b110, 0b001))  # bit above n-1
+    with pytest.raises(ValueError, match="adjacency row count does not match order"):
+        Graph(3, (0, 0))
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1)])
+    for edge, text in (((0, 3), "edge (0,3) outside 0..2"), ((-1, 0), "edge (-1,0) outside 0..2")):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            Graph.from_edges(3, [edge])
 
 
 def test_from_edges_petersen_shape():
@@ -138,6 +146,8 @@ MALFORMED = [
     ("D\xe9{", "byte 233 outside graph6 range"),
     ("D?\x7f", "byte 127 outside graph6 range"),
     ("~?\xe9", "truncated long-form length prefix"),
+    ("~?!@", "byte 33 outside graph6 range"),  # bad byte in the long-form prefix
+    ("~?@@", "order 65 above supported maximum 64"),
     (b"D?}", "set bit in padding"),
 ]
 

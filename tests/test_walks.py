@@ -197,6 +197,8 @@ def test_longest_induced_path_fixtures():
     # including before the first step
     w = longest_induced_path_from(cycle_graph(6), 0, stop_at=1)
     assert w.vertices == (0,)
+    with pytest.raises(ValueError):
+        longest_induced_path_from(petersen(), 10)
 
 
 def test_longest_induced_path_matches_brute_force():
