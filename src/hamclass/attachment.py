@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, induced_subgraph, mask_of
+from .graphs import Graph, mask_of
 from .membership import ClassKind, ClassParams, theorem_max_degree
 from .walks import (
     CycleWitness,
@@ -97,13 +97,6 @@ class ClaimReport:
     improvement: CycleWitness | PathWitness | None
 
 
-def _canonical_cycle(verts: tuple[int, ...]) -> tuple[int, ...]:
-    at = verts.index(min(verts))
-    fwd = verts[at:] + verts[:at]
-    rev = (fwd[0],) + fwd[1:][::-1]
-    return min(fwd, rev)
-
-
 def build_config(
     g: Graph, k: int, kind: ClassKind, u1: int | None = None
 ) -> AttachmentConfig:
@@ -128,22 +121,21 @@ def build_config(
     pverts = longest_induced_path_from(g, u1, stop_at=k).vertices
     if len(pverts) < k:
         raise ConfigError(f"no induced path of order {k} from vertex {u1}")
-    rest = [v for v in range(n) if v not in set(pverts)]
+    rest = g.vertex_mask & ~mask_of(pverts)
     if not rest:
         raise ConfigError("path covers the whole graph, nothing left for a spine")
-    sub = induced_subgraph(g, rest)
-    spine: CycleWitness | PathWitness
+    # the first Hamilton cycle starts at its least vertex and steps to the
+    # smaller of that vertex's two neighbours on it, and the first Hamilton
+    # path ends above its start: both come in canonical orientation
+    spine: CycleWitness | PathWitness | None
     if kind is ClassKind.GAMMA:
-        walk = hamilton_cycle(sub)
-        if walk is None:
+        spine = hamilton_cycle(g, rest)
+        if spine is None:
             raise ConfigError("graph minus the path has no spanning cycle")
-        spine = CycleWitness(_canonical_cycle(tuple(rest[i] for i in walk.vertices)))
     else:
-        pwalk = hamilton_path(sub)
-        if pwalk is None:
+        spine = hamilton_path(g, rest)
+        if spine is None:
             raise ConfigError("graph minus the path has no spanning path")
-        orig = tuple(rest[i] for i in pwalk.vertices)
-        spine = PathWitness(min(orig, orig[::-1]))
 
     # at k=1 the head itself plays the attachment role: there is no P'
     anchor = pverts[1:] if k >= 2 else pverts

@@ -21,7 +21,9 @@ from itertools import combinations
 from math import floor
 from typing import Iterator
 
-from .graphs import Graph, degree_profile, induced_subgraph, vertex_connectivity
+# induced_subgraph is not called here; it stays bound because
+# perfbench/tracer.py wraps it in this module
+from .graphs import Graph, degree_profile, induced_subgraph, mask_of, vertex_connectivity
 from .walks import (
     CycleWitness,
     PathWitness,
@@ -93,20 +95,19 @@ def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) ->
     # picked from the module globals on every call, never from a table built
     # at import time, so a solver rebound after import (tracing) is the one run
     if params.kind is ClassKind.GAMMA:
-        longest, spanning, witness = circumference, hamilton_cycle, CycleWitness
+        longest, spanning = circumference, hamilton_cycle
     else:
-        longest, spanning, witness = detour_order, hamilton_path, PathWitness
+        longest, spanning = detour_order, hamilton_path
     length, best = longest(g)
     if length != target:
         return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
     walks: list[CycleWitness | PathWitness] | None = [] if collect_walks else None
     for drop in combinations(range(g.n), params.k):
-        keep = [v for v in range(g.n) if v not in drop]
-        walk = spanning(induced_subgraph(g, keep))
+        walk = spanning(g, g.vertex_mask ^ mask_of(drop))
         if walk is None:
             return MembershipVerdict(False, BAD_DELETION_SET, None, drop, None, None)
         if walks is not None:
-            walks.append(witness(tuple(keep[i] for i in walk.vertices)))
+            walks.append(walk)
     return MembershipVerdict(
         True, None, target, None, None, tuple(walks) if walks is not None else None
     )

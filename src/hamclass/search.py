@@ -26,14 +26,16 @@ from math import comb
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected, subtree_roots
-# degree_profile and vertex_connectivity are called from .membership; they
-# stay bound here because perfbench/tracer.py wraps them in this module
+# degree_profile and vertex_connectivity are called from .membership, and
+# induced_subgraph is not called at all; they stay bound here because
+# perfbench/tracer.py wraps them in this module
 from .graphs import (
     GRAPH6_HEADER,
     Graph,
     Graph6Error,
     degree_profile,
     induced_subgraph,
+    mask_of,
     parse_graph6,
     vertex_connectivity,
     write_graph6,
@@ -243,10 +245,8 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if not all(0 <= v < g.n for v in drop):
             return False
-        keep = [v for v in range(g.n) if v not in drop]
-        sub = induced_subgraph(g, keep)
-        walk = hamilton_cycle(sub) if kind is ClassKind.GAMMA else hamilton_path(sub)
-        return walk is None
+        spanning = hamilton_cycle if kind is ClassKind.GAMMA else hamilton_path
+        return spanning(g, g.vertex_mask ^ mask_of(drop)) is None
 
     return False
 

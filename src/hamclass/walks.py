@@ -13,28 +13,38 @@ and return the first of these that applies:
 - the walk `hamilton_cycle` / `hamilton_path` finds: the lexicographically
   first Hamilton sequence, from vertex 0 for cycles and over ascending
   start vertices for paths;
-- otherwise the incumbent of a branch and bound that prunes only by reach
-  and starts from the seed cycle (from the single vertex 0 for paths). It
-  visits walks in lexicographic order, cycles by ascending least vertex,
-  and keeps the first walk longer than every earlier one. No spanning walk
-  exists, so it stops as soon as its incumbent has n - 1 vertices.
+- otherwise the incumbent of `_longest`, the one branch and bound for
+  both walks, which prunes only by reach. It starts from the seed cycle
+  (from the single vertex 0 for paths), visits walks in lexicographic
+  order, cycles by ascending least vertex, and keeps the first walk
+  longer than every earlier one. No spanning walk exists, so it stops as
+  soon as its incumbent has n - 1 vertices.
 
-One search answers both Hamilton questions. `_spanning_path(adj, verts,
-ends, gap)` returns the lexicographically first Hamilton path of the
-graph on `verts` that runs from a vertex of `ends` to a higher one. A
-Hamilton path of G is one with `verts` and `ends` both every vertex. A
-Hamilton cycle 0, a, ..., c is vertex 0 and then a Hamilton path of
-G - 0 from a to c, two neighbours of 0, so `hamilton_cycle` asks for a
-path of G - 0 whose ends are neighbours of 0 and puts 0 in front.
-Putting 0 in front keeps the lexicographic order, so the first such path
-gives the first cycle.
+The two walks differ in `_longest` only where they may close. A path
+closes at any vertex. A cycle rooted at a closes at a neighbour of a and
+uses no vertex below a, so its subtree needs a neighbour of a within
+reach, and the roots stop once n - a is no longer than the incumbent.
+
+One search answers both Hamilton questions, on the graph G[keep] that a
+vertex mask `keep` induces (all of G by default). `_spanning_path(adj,
+keep, verts, ends, gap)` returns the lexicographically first Hamilton
+path of the graph on `verts` that runs from a vertex of `ends` to a
+higher one. A Hamilton path of G[keep] is one with `verts` and `ends`
+both `keep`. A Hamilton cycle a, b, ..., c of G[keep], with a its least
+vertex, is a and then a Hamilton path of G[keep] - a from b to c, two
+neighbours of a. So `hamilton_cycle` asks for a path of G[keep] - a
+whose ends are neighbours of a, and puts a in front. Putting a in front
+keeps the lexicographic order, so the first such path gives the first
+cycle. Every row the search reads is masked to `keep`, and relabelling
+`keep` in label order keeps the ascending order, so the walk is the one
+`induced_subgraph(g, keep)` gives, in the labels of G.
 
 The search tries the starts in ascending order, and under start s only
 the `allowed` vertices, the ends above s, may end the path. A path from s
 that ends at e < s reverses into a path from e, and start e has already
 failed. The highest end has no end above it, so it is not tried. The
 first Hamilton path ends above its start, since otherwise its reverse
-would come first; the first Hamilton cycle has a < c for the same reason.
+would come first; the first Hamilton cycle has b < c for the same reason.
 
 Every other rule cuts only branches that have no completion at all.
 - A vertex of `verts` with at most one neighbour in `verts` can only end
@@ -65,9 +75,9 @@ Every other rule cuts only branches that have no completion at all.
 - A Hamilton path alternates between the sides of a 2-colouring, so the
   sides of a bipartite graph with a Hamilton path differ by at most one,
   and those of one with a Hamilton cycle not at all. `gap` is that bound
-  for the whole graph: 1 for paths, 0 for cycles. The test runs only
-  once the first start has failed, so a graph whose first start holds a
-  walk pays nothing for it.
+  for the whole graph on `keep`: 1 for paths, 0 for cycles. The test
+  runs only once the first start has failed, so a graph whose first
+  start holds a walk pays nothing for it.
 
 The search visits branches in lexicographic order and cuts none that
 holds a walk it is asked for, so it returns the first such walk, or
@@ -123,23 +133,20 @@ class PathWitness:
         return len(self.vertices)
 
 
-def is_cycle_in(g: Graph, vertices: tuple[int, ...]) -> bool:
-    """Independent validity check: distinct vertices, every hop an edge."""
-    k = len(vertices)
-    if k < 3 or len(set(vertices)) != k:
-        return False
-    if any(not 0 <= v < g.n for v in vertices):
-        return False
-    return all(g.adj[vertices[i]] >> vertices[(i + 1) % k] & 1 for i in range(k))
-
-
 def is_path_in(g: Graph, vertices: tuple[int, ...]) -> bool:
+    """Independent validity check: distinct vertices, every hop an edge."""
     k = len(vertices)
     if k < 1 or len(set(vertices)) != k:
         return False
     if any(not 0 <= v < g.n for v in vertices):
         return False
     return all(g.adj[vertices[i]] >> vertices[i + 1] & 1 for i in range(k - 1))
+
+
+def is_cycle_in(g: Graph, vertices: tuple[int, ...]) -> bool:
+    """A path of at least 3 vertices whose ends are adjacent."""
+    k = len(vertices)
+    return k >= 3 and is_path_in(g, vertices) and g.adj[vertices[-1]] >> vertices[0] & 1 == 1
 
 
 def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
@@ -152,18 +159,18 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 # Hamilton cycle / path
 
 
-def _colour_gap(adj: tuple[int, ...], full: int) -> int:
-    """How many more vertices one side of the 2-colouring of a connected
-    graph has than the other, or 0 when the graph has no 2-colouring."""
-    sides = [1, 0]
-    seen = frontier = 1
+def _colour_gap(adj: tuple[int, ...], keep: int) -> int:
+    """How many more vertices one side of the 2-colouring of the connected
+    graph on `keep` has than the other, or 0 when it has no 2-colouring."""
+    seen = frontier = keep & -keep
+    sides = [seen, 0]
     colour = 0
     while frontier:
         grown = 0
         for x in bits(frontier):
             grown |= adj[x]
         colour ^= 1
-        frontier = grown & full & ~seen
+        frontier = grown & keep & ~seen
         seen |= frontier
         sides[colour] |= frontier
     # breadth-first layers alternate sides, so an odd cycle shows as an
@@ -173,11 +180,14 @@ def _colour_gap(adj: tuple[int, ...], full: int) -> int:
     return abs(sides[0].bit_count() - sides[1].bit_count())
 
 
-def _spanning_path(adj: tuple[int, ...], verts: int, ends: int, gap: int) -> tuple[int, ...] | None:
+def _spanning_path(
+    adj: tuple[int, ...], keep: int, verts: int, ends: int, gap: int
+) -> tuple[int, ...] | None:
     """First Hamilton path of the graph on `verts` that runs from a vertex
     of `ends` to a higher one, in ascending search order, or None. The
-    2-colouring of the whole graph `adj` may have sides that differ by at
-    most `gap`. The rules are argued in the module docstring.
+    2-colouring of the graph on `keep`, which holds `verts`, may have sides
+    that differ by at most `gap`. The rules are argued in the module
+    docstring.
     """
     low = verts & mask_of(v for v, row in enumerate(adj) if (row & verts).bit_count() <= 1)
     if low.bit_count() > 2 or low & ~ends or not joined(adj, verts, verts):
@@ -221,7 +231,7 @@ def _spanning_path(adj: tuple[int, ...], verts: int, ends: int, gap: int) -> tup
     # asked once, before the second start
     allowed = ends
     while allowed & (allowed - 1):
-        if allowed == ends & (ends - 1) and _colour_gap(adj, (1 << len(adj)) - 1) > gap:
+        if allowed == ends & (ends - 1) and _colour_gap(adj, keep) > gap:
             return None
         bit = allowed & -allowed
         allowed ^= bit
@@ -235,18 +245,32 @@ def _spanning_path(adj: tuple[int, ...], verts: int, ends: int, gap: int) -> tup
     return None
 
 
-def hamilton_cycle(g: Graph) -> CycleWitness | None:
-    """First Hamilton cycle in ascending search order, or None: vertex 0
-    and the first Hamilton path of G - 0 between two neighbours of 0."""
-    found = _spanning_path(g.adj, g.vertex_mask ^ 1, g.adj[0], 0)
-    return None if found is None else CycleWitness((0, *found))
+def _kept(g: Graph, keep: int | None) -> int:
+    if keep is None:
+        return g.vertex_mask
+    if not keep or keep & ~g.vertex_mask:
+        raise ValueError(f"vertex mask {keep:#x} is empty or outside the graph")
+    return keep
 
 
-def hamilton_path(g: Graph) -> PathWitness | None:
-    """First Hamilton path in ascending search order, or None."""
-    if g.n == 1:
-        return PathWitness((0,))
-    found = _spanning_path(g.adj, g.vertex_mask, g.vertex_mask, 1)
+def hamilton_cycle(g: Graph, keep: int | None = None) -> CycleWitness | None:
+    """First Hamilton cycle of the graph on the vertex mask `keep` (all of
+    G by default) in ascending search order, or None: its least vertex a
+    and the first Hamilton path of the rest between two neighbours of a."""
+    keep = _kept(g, keep)
+    root = keep & -keep
+    a = root.bit_length() - 1
+    found = _spanning_path(g.adj, keep, keep ^ root, g.adj[a] & keep, 0)
+    return None if found is None else CycleWitness((a, *found))
+
+
+def hamilton_path(g: Graph, keep: int | None = None) -> PathWitness | None:
+    """First Hamilton path of the graph on the vertex mask `keep` (all of G
+    by default) in ascending search order, or None."""
+    keep = _kept(g, keep)
+    if not keep & (keep - 1):
+        return PathWitness((keep.bit_length() - 1,))
+    found = _spanning_path(g.adj, keep, keep, keep, 1)
     return None if found is None else PathWitness(found)
 
 
@@ -334,95 +358,73 @@ def _seed_cycle(g: Graph) -> CycleWitness | None:
     return CycleWitness(tuple(cyc))
 
 
-def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
-    """Exact circumference with a witness; (0, None) for acyclic graphs.
-
-    A spanning seed cycle is the answer, then a cycle `hamilton_cycle`
-    finds; otherwise branch and bound from the seed stops at n - 1.
-    """
+def _longest(
+    g: Graph, best: int, best_walk: tuple[int, ...], cycle: bool
+) -> tuple[int, tuple[int, ...]]:
+    """Branch and bound over the cycles (`cycle`) or paths of G from the
+    incumbent `best_walk` of `best` vertices, up to n - 1 (module docstring)."""
     n = g.n
     adj = g.adj
-    seed = _seed_cycle(g)
-    if seed is None:
-        return 0, None
-    spanning = seed if seed.order == n else hamilton_cycle(g)
-    if spanning is not None:
-        return n, spanning
-    best = seed.order
-    best_cyc = seed.vertices
     full = g.vertex_mask
     path: list[int] = []
 
-    def grow(a: int, u: int, used: int) -> bool:
+    def grow(u: int, used: int) -> bool:
         """Search below `path`; True once the incumbent has n - 1 vertices."""
-        nonlocal best, best_cyc
+        nonlocal best, best_walk
         plen = len(path)
-        if plen >= 3 and adj[u] >> a & 1 and plen > best:
+        if closing >> u & 1 and plen > best:
             best = plen
-            best_cyc = tuple(path)
+            best_walk = tuple(path)
             if best == n - 1:
                 return True
         avail = full & ~used
         cands = adj[u] & avail
         if cands:
             reach = closure_mask(adj, avail, cands)
-            if plen + reach.bit_count() > best and adj[a] & reach:
+            if plen + reach.bit_count() > best and closing & reach:
                 for w in bits(cands):
                     path.append(w)
-                    if grow(a, w, used | (1 << w)):
+                    if grow(w, used | (1 << w)):
                         return True
                     path.pop()
         return False
 
     for a in range(n):
-        if best == n - 1 or n - a <= best:
+        if best == n - 1 or cycle and n - a <= best:
             break
         path[:] = [a]
-        # a cycle rooted at a has no vertex below a
-        grow(a, a, (2 << a) - 1)
-    return best, CycleWitness(best_cyc)
+        closing = adj[a] if cycle else full
+        grow(a, (2 << a) - 1 if cycle else 1 << a)
+    return best, best_walk
+
+
+def circumference(g: Graph) -> tuple[int, CycleWitness | None]:
+    """Exact circumference with a witness; (0, None) for acyclic graphs.
+
+    A spanning seed cycle is the answer, then a cycle `hamilton_cycle`
+    finds; otherwise branch and bound from the seed stops at n - 1.
+    """
+    seed = _seed_cycle(g)
+    if seed is None:
+        return 0, None
+    spanning = seed if seed.order == g.n else hamilton_cycle(g)
+    if spanning is not None:
+        return g.n, spanning
+    best, walk = _longest(g, seed.order, seed.vertices, True)
+    return best, CycleWitness(walk)
 
 
 def detour_order(g: Graph) -> tuple[int, PathWitness]:
     """Exact longest-path order with a witness (order 1 for edgeless graphs).
 
     A path `hamilton_path` finds is the answer; otherwise branch and bound
-    stops at n - 1.
+    from the single vertex 0 stops at n - 1.
     """
-    n = g.n
     spanning = hamilton_path(g)
     if spanning is not None:
-        return n, spanning
-    adj = g.adj
-    best = 1
-    best_path: tuple[int, ...] = (0,)
-    full = g.vertex_mask
-    path: list[int] = []
-
-    def grow(u: int, used: int) -> bool:
-        """Search below `path`; True once the incumbent has n - 1 vertices."""
-        nonlocal best, best_path
-        plen = len(path)
-        if plen > best:
-            best = plen
-            best_path = tuple(path)
-            if best == n - 1:
-                return True
-        avail = full & ~used
-        cands = adj[u] & avail
-        if cands and plen + closure_mask(adj, avail, cands).bit_count() > best:
-            for w in bits(cands):
-                path.append(w)
-                if grow(w, used | (1 << w)):
-                    return True
-                path.pop()
-        return False
-
-    for s in range(n):
-        path[:] = [s]
-        if grow(s, 1 << s):
-            break
-    return best, PathWitness(best_path)
+        return g.n, spanning
+    best, walk = _longest(g, 1, (0,), False)
+    return best, PathWitness(walk)
 
 
 def longest_induced_path_from(g: Graph, v: int, stop_at: int | None = None) -> PathWitness:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from hamclass.graphs import (
     Graph,
+    bits,
     induced_subgraph,
     petersen,
     write_graph6,
 )
+from hamclass.membership import ClassKind, ClassParams, membership
 from hamclass.walks import (
     CycleWitness,
     PathWitness,
@@ -47,6 +50,7 @@ from util import (
     random_relabel,
     relabel,
     seed_cycle_reference,
+    walk_calls,
 )
 
 
@@ -359,6 +363,72 @@ def test_hamilton_solvers_match_reference_on_bipartite_graphs():
         _spanning_agree(random_relabel(Graph.from_edges(n, edges), rng))
 
 
+def _relabelled(walk, keep):
+    """A walk of induced_subgraph(g, keep), in the labels of g."""
+    if walk is None:
+        return None
+    labels = list(bits(keep))
+    return type(walk)(tuple(labels[i] for i in walk.vertices))
+
+
+def _masks_agree(g, keep):
+    sub = induced_subgraph(g, keep)
+    assert hamilton_cycle(g, keep) == _relabelled(hamilton_cycle(sub), keep), (write_graph6(g), keep)
+    assert hamilton_path(g, keep) == _relabelled(hamilton_path(sub), keep), (write_graph6(g), keep)
+
+
+def test_spanning_masks_match_induced_subgraphs(corpus):
+    # the search reads only the rows of the kept vertices, and relabelling
+    # them in label order keeps the ascending search order, so the walks are
+    # those of the induced subgraphs; every 1- and 2-vertex deletion of the
+    # connected graphs of order <= 7
+    for n in range(2, 8):
+        for g in corpus[n]:
+            for k in (1, 2):
+                for drop in combinations(range(n), k):
+                    if k < n:
+                        _masks_agree(g, g.vertex_mask ^ sum(1 << v for v in drop))
+
+
+def test_spanning_masks_match_induced_subgraphs_on_random_graphs():
+    # disconnected graphs and disconnected kept sets included
+    rng = random.Random(211)
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+        for _ in range(3):
+            keep = rng.randrange(1, 1 << n)
+            _masks_agree(g, keep)
+
+
+def test_spanning_masks_edge_cases():
+    g = petersen()
+    for v in range(g.n):
+        # a single kept vertex is a path and no cycle
+        assert hamilton_path(g, 1 << v) == PathWitness((v,))
+        assert hamilton_cycle(g, 1 << v) is None
+    for a, b in combinations(range(g.n), 2):
+        # two kept vertices are a path when adjacent, never a cycle
+        keep = 1 << a | 1 << b
+        assert hamilton_path(g, keep) == (PathWitness((a, b)) if g.adj[a] >> b & 1 else None)
+        assert hamilton_cycle(g, keep) is None
+    for h in (Graph(1, (0,)), complete_graph(2), cycle_graph(5), petersen(), generalized_petersen(11, 2)):
+        assert hamilton_cycle(h, h.vertex_mask) == hamilton_cycle(h)
+        assert hamilton_path(h, h.vertex_mask) == hamilton_path(h)
+    # an empty set or a vertex outside the graph is refused, as
+    # induced_subgraph refuses it
+    for keep in (0, 1 << g.n, g.vertex_mask | 1 << g.n):
+        with pytest.raises(ValueError):
+            induced_subgraph(g, keep)
+        with pytest.raises(ValueError):
+            hamilton_cycle(g, keep)
+        with pytest.raises(ValueError):
+            hamilton_path(g, keep)
+    for solver in (hamilton_cycle, hamilton_path):
+        with pytest.raises(ValueError):
+            solver(g, -1)
+
+
 def _longest_agree(g):
     assert circumference(g) == circumference_reference(g), write_graph6(g)
     assert detour_order(g) == detour_order_reference(g), write_graph6(g)
@@ -379,6 +449,55 @@ def test_longest_walks_match_reference_on_hypohamiltonian_graphs():
         _longest_agree(g)
         for sub in _deletions(g):
             _longest_agree(sub)
+
+
+# calls of the search nodes `extend` (the spanning search) and `grow` (the
+# branch and bound), summed over the relabellings by random.Random(s) for
+# s = 0..3: circumference, then Γ(·;1) membership (which runs
+# circumference again and then one spanning search per deletion). A prune
+# that goes missing leaves every witness as it was, so only these counts
+# notice it; a change that moves one says so, with the old and new counts.
+CYCLE_WORK = {
+    "petersen": (petersen, 152, 28, 472, 28),
+    "gp11_2": (lambda: generalized_petersen(11, 2), 2273, 165, 4853, 165),
+    "gp17_2": (lambda: generalized_petersen(17, 2), 15711, 2684, 30386, 2684),
+    "coxeter": (coxeter_graph, 12528, 928, 18522, 928),
+    "j5": (lambda: flower_snark(5), 1967, 329, 4794, 329),
+    "j7": (lambda: flower_snark(7), 12590, 3102, 23768, 3102),
+}
+# detour_order on the same relabellings: the 2-colouring refutes the
+# spanning path, then the branch and bound climbs to n - 1
+PATH_WORK = {
+    "k3_5": (lambda: complete_bipartite(3, 5), 392, 244),
+    "k5_7": (lambda: complete_bipartite(5, 7), 191568, 327248),
+}
+
+
+def _relabellings(make):
+    h = make()
+    return [random_relabel(h, random.Random(s)) for s in range(4)]
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_WORK))
+def test_cycle_work_is_pinned(name):
+    make, *want = CYCLE_WORK[name]
+    params = ClassParams(1, ClassKind.GAMMA)
+    longest = Counter()
+    decided = Counter()
+    for g in _relabellings(make):
+        longest += walk_calls(lambda: circumference(g))
+        decided += walk_calls(lambda: membership(g, params))
+    got = [longest["extend"], longest["grow"], decided["extend"], decided["grow"]]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(PATH_WORK))
+def test_path_work_is_pinned(name):
+    make, *want = PATH_WORK[name]
+    calls = Counter()
+    for g in _relabellings(make):
+        calls += walk_calls(lambda: detour_order(g))
+    assert [calls["extend"], calls["grow"]] == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,9 +8,12 @@ connectivity, plain recursion for longest walks.
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
+from hamclass import walks
 from hamclass.attachment import AttachmentConfig, _first_insertion
 from hamclass.canon import canonical_form, marked_code
 from hamclass.graphs import (
@@ -924,3 +927,26 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.edge_count() != b.edge_count():
         return False
     return canonical_form(a) == canonical_form(b)
+
+
+def walk_calls(fn: Callable[[], object]) -> Counter[str]:
+    """Calls of the functions defined in `hamclass.walks`, nested ones such
+    as `extend` and `grow` included, that fn() makes, by code name.
+
+    Counted from the `"call"` events of `sys.setprofile`, so the library
+    pays nothing for it outside this helper.
+    """
+    calls: Counter[str] = Counter()
+    filename = walks.__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == filename:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
