@@ -460,6 +460,9 @@ def _connectivity_below(g: Graph, t: int) -> int:
 def induced_subgraph(g: Graph, keep: Iterable[int] | int) -> Graph:
     """Induced subgraph on `keep`, relabeled to 0..|keep|-1 in label order."""
     if isinstance(keep, int):
+        if keep < 0:
+            # bits() of a negative mask never runs out of set bits
+            raise ValueError(f"negative vertex mask {keep}")
         keep_list = list(bits(keep))
     else:
         keep_list = sorted(set(keep))

@@ -390,9 +390,13 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     appear in no count. The work is cut into units: for the generator,
     the subtrees below `subtree_roots`, each grown and decided where it
     runs; for a stream, chunks of 256 records. Units run in this process
-    for one worker or a single unit, and otherwise in a pool of at most
-    min(workers, os.cpu_count()) processes, with at most two units per
-    process in flight, each report taken as its unit finishes. Unit
+    for one worker or at most two units, and otherwise in a pool of at
+    most min(workers, os.cpu_count()) processes, with at most two units
+    per process in flight, each report taken as its unit finishes. With
+    two units a pool can overlap at most one unit with the other, and its
+    fixed costs (forking every worker at the first submit, parsing the
+    first chunk before that submit, the first result's round trip,
+    shutdown) exceed one light 256-record unit. Unit
     reports merge commutatively and members_found is sorted, making the
     report independent of where and in what order the units ran.
     """
@@ -419,10 +423,10 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     decided = 0
     members: list[str] = []
     processes = min(workers, os.cpu_count() or 1)
-    # a pool pays off only when there is a second unit to share out
-    head = list(islice(units, 2))
+    # a pool pays off only from three units (see the docstring for why)
+    head = list(islice(units, 3))
     units = chain(head, units)
-    parallel = processes > 1 and len(head) > 1
+    parallel = processes > 1 and len(head) > 2
     with ProcessPoolExecutor(max_workers=processes) if parallel else nullcontext() as pool:
         for unit_counts, unit_decided, unit_members in _chunk_reports(
             pool, 2 * processes, task, units, *args

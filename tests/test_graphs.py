@@ -415,6 +415,23 @@ def test_induced_subgraph_relabels_in_order():
         induced_subgraph(g, [-1, 0])
 
 
+def test_induced_subgraph_refuses_masks_outside_the_graph(monkeypatch):
+    # bits() of a negative mask never runs out of set bits, so a negative
+    # mask must be refused before bits() sees it, not by running out of memory
+    real_bits = graphs.bits
+
+    def checked_bits(mask):
+        assert mask >= 0, "bits() was given a negative mask"
+        return real_bits(mask)
+
+    monkeypatch.setattr(graphs, "bits", checked_bits)
+    g = petersen()
+    for keep in (-1, -(1 << g.n), 1 << g.n, g.vertex_mask | 1 << g.n):
+        with pytest.raises(ValueError):
+            induced_subgraph(g, keep)
+    assert induced_subgraph(g, g.vertex_mask) == g
+
+
 def test_induced_subgraph_equals_checked_graph():
     # the result skips the Graph checks, so it must be what the checked
     # constructor accepts and what the edges of g among the kept vertices give

@@ -358,6 +358,73 @@ def test_pool_size_capped_by_cpu_count(monkeypatch):
     assert sizes == [2, 2, 3, 3, 3, 3]
 
 
+def order_10_lines(records):
+    """`records` order-10 stream records: Petersen (decided, a member) and
+    C_10 (pruned on min_degree) in turn."""
+    pair = [write_graph6(petersen()), write_graph6(cycle_graph(10))]
+    return (pair * records)[:records]
+
+
+def test_two_unit_scan_starts_no_pool(monkeypatch):
+    # a two-chunk stream and a generator scan whose tree has two subtree
+    # roots run in this process whatever the worker count
+    pools = []
+
+    def executor(max_workers):
+        pools.append(InlineExecutor(max_workers))
+        return pools[-1]
+
+    lines = order_10_lines(512)
+    stream_spec = ScanSpec(10, G1, source="stream")
+    gen_spec = ScanSpec(6, G1, prune_rules=frozenset())
+    assert len(list(subtree_roots(6))) == 2
+    serial = [scan(stream_spec, lines), scan(gen_spec)]
+    assert serial[0].total_examined == 512 and serial[1].total_examined == 112
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
+    for workers in (2, 4):
+        parallel = [scan(stream_spec, lines, workers=workers), scan(gen_spec, workers=workers)]
+        assert list(map(strip, parallel)) == list(map(strip, serial))
+    assert pools == []
+
+
+def test_three_unit_scan_starts_a_pool(monkeypatch):
+    pools = []
+
+    def executor(max_workers):
+        pools.append(InlineExecutor(max_workers))
+        return pools[-1]
+
+    stream_spec = ScanSpec(10, G1, source="stream")
+    gen_spec = ScanSpec(7, P1)  # six subtree roots
+    streams = [order_10_lines(513), order_10_lines(768)]
+    serial = [scan(stream_spec, lines) for lines in streams] + [scan(gen_spec)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
+    parallel = [scan(stream_spec, lines, workers=2) for lines in streams] + [scan(gen_spec, workers=2)]
+    assert list(map(strip, parallel)) == list(map(strip, serial))
+    assert [len(pool.tasks) for pool in pools] == [3, 3, 6]
+
+
+def test_stream_scan_real_pool_agrees_at_the_threshold(caplog):
+    # streams of 2, 3 and 4 chunks, each with one malformed record: below,
+    # at and above the three units from which a scan starts a pool
+    spec = ScanSpec(10, G1, source="stream")
+    for chunks in (2, 3, 4):
+        lines = order_10_lines(chunks * 256)
+        lines.insert(300, "!!not-a-record")
+        runs = []
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hamclass.search"):
+                report = scan(spec, lines, workers=workers)
+            runs.append((strip(report), [rec.getMessage() for rec in caplog.records]))
+        serial, notices = runs[0]
+        assert serial.total_examined == chunks * 256 and serial.skipped_records == 1
+        assert notices == ["record 301 skipped: byte 33 outside graph6 range"]
+        assert runs[1] == runs[0]
+
+
 def test_prune_soundness_small():
     for params in (G1, P1):
         on = scan(ScanSpec(7, params, prune_rules=frozenset(RULE_ORDER)))
