@@ -66,6 +66,12 @@ log = logging.getLogger(__name__)
 SOURCE_GENERATOR = "gen"
 SOURCE_STREAM = "stream"
 
+# records per stream unit, and consecutive subtree roots per generator unit:
+# a pool round trip costs about as much as a light subtree, and the tail of
+# a scan then waits for at most one four-root unit
+_CHUNK_RECORDS = 256
+_UNIT_ROOTS = 4
+
 
 class CertificateError(ValueError):
     """The record cannot even be read as a certificate."""
@@ -184,10 +190,9 @@ def verify_certificate(cert: Certificate) -> bool:
     exact search, so a bad walk costs no proof that no longer walk exists.
     That search is the longest-walk length: valid per-deletion walks alone
     cannot rule out a longer walk in the full graph (complete graphs would
-    certify as members otherwise). At k = 1 it is a Hamilton-cycle or
-    Hamilton-path search, since the longest-walk solvers ask the spanning
-    solvers first and, when no spanning walk exists, stop at the first walk
-    of n - 1 vertices. A member certificate must state the target as its
+    certify as members otherwise). At k = 1 the walks already show one of
+    n - 1 vertices, so it is a Hamilton-cycle or Hamilton-path search
+    alone. A member certificate must state the target as its
     length. Refuting deletion sets are re-searched, and a claimed length
     shorter than the target is re-derived, since no walk can witness an
     upper bound.
@@ -203,6 +208,7 @@ def verify_certificate(cert: Certificate) -> bool:
     except ValueError:
         return False
     longest = circumference if kind is ClassKind.GAMMA else detour_order
+    spanning = hamilton_cycle if kind is ClassKind.GAMMA else hamilton_path
 
     if cert.verdict == "member":
         if cert.reason is not None or cert.witness_set is not None:
@@ -221,6 +227,8 @@ def verify_certificate(cert: Certificate) -> bool:
                 return False
             if not _walk_ok(g, kind, walk):
                 return False
+        if k == 1:
+            return spanning(g) is None
         return longest(g)[0] == target
 
     if cert.reason == WRONG_LENGTH:
@@ -245,7 +253,6 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
         if not all(0 <= v < g.n for v in drop):
             return False
-        spanning = hamilton_cycle if kind is ClassKind.GAMMA else hamilton_path
         return spanning(g, g.vertex_mask ^ mask_of(drop)) is None
 
     return False
@@ -352,11 +359,11 @@ def _decide_chunk(
     return counts, decided, members
 
 
-def _decide_subtree(
-    root: Graph, n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
+def _decide_subtrees(
+    roots: list[Graph], n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
 ) -> tuple[dict[str, int], int, list[str]]:
-    """`_decide_chunk` over the graphs generated below one subtree root."""
-    graphs = generate_connected(n, max_degree=cap, min_degree=floor, root=root)
+    """`_decide_chunk` over the graphs generated below `roots`, in order."""
+    graphs = (g for r in roots for g in generate_connected(n, max_degree=cap, min_degree=floor, root=r))
     return _decide_chunk(graphs, params, rules)
 
 
@@ -387,18 +394,19 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
 
     The degree window of the enabled rules (`degree_window`) is pushed
     into the generator: graphs outside it are never materialized, so they
-    appear in no count. The work is cut into units: for the generator,
-    the subtrees below `subtree_roots`, each grown and decided where it
-    runs; for a stream, chunks of 256 records. Units run in this process
-    for one worker or at most two units, and otherwise in a pool of at
-    most min(workers, os.cpu_count()) processes, with at most two units
-    per process in flight, each report taken as its unit finishes. With
-    two units a pool can overlap at most one unit with the other, and its
-    fixed costs (forking every worker at the first submit, parsing the
-    first chunk before that submit, the first result's round trip,
-    shutdown) exceed one light 256-record unit. Unit
-    reports merge commutatively and members_found is sorted, making the
-    report independent of where and in what order the units ran.
+    appear in no count. The work is cut into units: for the generator, up
+    to four consecutive roots of `subtree_roots`, their subtrees grown and
+    decided in turn where the unit runs; for a stream, chunks of 256
+    records. Units run in this process for one worker or at most two
+    units (up to 512 records or eight roots), and otherwise in a pool of
+    at most min(workers, os.cpu_count()) processes, with at most two
+    units per process in flight, each report taken as its unit finishes.
+    With two units a pool can overlap at most one unit with the other,
+    and its fixed costs (forking every worker at the first submit,
+    parsing the first chunk before that submit, the first result's round
+    trip, shutdown) exceed one light 256-record unit. Unit reports merge
+    commutatively and members_found is sorted, making the report
+    independent of where and in what order the units ran.
     """
     start = time.perf_counter()
     reader = None
@@ -407,16 +415,17 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
             raise ValueError("stream source needs an input stream")
         reader = RecordReader(stream, spec.n)
         graphs = (g for _, _, g in reader)
-        units: Iterator = iter(lambda: list(islice(graphs, 256)), [])
+        units: Iterator = iter(lambda: list(islice(graphs, _CHUNK_RECORDS)), [])
         task: Callable = _decide_chunk
         args: tuple = (spec.params, spec.prune_rules)
     else:
         floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
         if _starts_no_generation(spec.n, floor, cap):
-            units = iter(())
+            roots: Iterator[Graph] = iter(())
         else:
-            units = subtree_roots(spec.n, max_degree=cap, min_degree=floor)
-        task = _decide_subtree
+            roots = subtree_roots(spec.n, max_degree=cap, min_degree=floor)
+        units = iter(lambda: list(islice(roots, _UNIT_ROOTS)), [])
+        task = _decide_subtrees
         args = (spec.n, floor, cap, spec.params, spec.prune_rules)
 
     pruned = {rule: 0 for rule in RULE_ORDER if rule in spec.prune_rules}

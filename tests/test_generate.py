@@ -4,15 +4,17 @@ from math import comb, factorial
 
 import pytest
 
+import hamclass.canon
 import hamclass.generate
 from hamclass.canon import automorphism_generators, canonical_form, marked_code
 from hamclass.generate import _children, _noncutvertices, _orbit, generate_connected, subtree_roots
-from hamclass.graphs import Graph, degree_profile, induced_subgraph, is_connected, write_graph6
+from hamclass.graphs import Graph, degree_profile, induced_subgraph, is_connected, trusted_graph, write_graph6
 from util import (
     _canonical_code_reference,
     _children_reference,
     automorphism_count,
     brute_orbits,
+    code_calls,
     generate_connected_reference,
     min_perm_code,
 )
@@ -200,6 +202,28 @@ def test_subtree_roots():
 
 # connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)
 REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
+
+
+# calls of _is_canonical, trusted_graph (the children built), refine,
+# marked_code and automorphism_generators while generating order n with every
+# degree in [lo, hi]: a lost prune or orbit test moves them, not the output
+GENERATOR_WORK = {
+    (7, 0, None): (1361, 1361, 4380, 4, 438),
+    (9, 3, 4): (4284, 4492, 13082, 245, 1628),
+    (10, 3, 3): (592, 850, 4213, 202, 437),
+}
+
+
+@pytest.mark.parametrize("n, lo, hi", GENERATOR_WORK)
+def test_generator_work_is_pinned(n, lo, hi):
+    calls = code_calls(
+        lambda: sum(1 for _ in generate_connected(n, min_degree=lo, max_degree=hi)),
+        hamclass.generate,
+        hamclass.canon,
+        trusted_graph,
+    )
+    names = ("_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators")
+    assert tuple(calls[name] for name in names) == GENERATOR_WORK[n, lo, hi]
 
 
 @pytest.mark.parametrize("degree, n", sorted(REGULAR_COUNTS))

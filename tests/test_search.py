@@ -12,7 +12,14 @@ import pytest
 import hamclass.search as search
 from hamclass.generate import generate_connected, subtree_roots
 from hamclass.graphs import Graph, petersen, write_graph6
-from hamclass.membership import DEFAULT_RULES, RULE_ORDER, ClassKind, ClassParams, violated_rules
+from hamclass.membership import (
+    DEFAULT_RULES,
+    RULE_ORDER,
+    ClassKind,
+    ClassParams,
+    degree_window,
+    violated_rules,
+)
 from hamclass.search import (
     Certificate,
     CertificateError,
@@ -252,7 +259,7 @@ def test_sharded_scan_grid_pinned(monkeypatch):
         lines.append(report_line(sharded))
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == SCAN_GRID_DIGEST
     # every pool received subtree tasks, never chunks of generated graphs
-    assert pools and all(pool.tasks and set(pool.tasks) == {search._decide_subtree} for pool in pools)
+    assert pools and all(pool.tasks and set(pool.tasks) == {search._decide_subtrees} for pool in pools)
 
 
 def test_sharded_scan_real_pool_agrees():
@@ -261,8 +268,10 @@ def test_sharded_scan_real_pool_agrees():
 
 
 def test_generator_scan_holds_boundedly_many_subtrees(monkeypatch):
-    # roots are submitted as they are read, so before the i-th result is
-    # taken at most (roots read) - i subtree tasks are in flight
+    # units of four roots are submitted as they are read, so before the i-th
+    # result is taken ceil((roots read) / 4) - i units are in flight: at most
+    # 2 x workers units, and at most 8 x workers roots read ahead of the
+    # results
     workers = 2
     read = 0
     taken = []
@@ -288,15 +297,17 @@ def test_generator_scan_holds_boundedly_many_subtrees(monkeypatch):
     monkeypatch.setattr(search, "subtree_roots", roots)
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
     assert strip(scan(spec, workers=workers)) == strip(serial)
-    assert read == len(taken) == 29
-    assert max(r - i for i, r in enumerate(taken)) == 2 * workers
+    assert read == 29 and len(taken) == 8
+    assert max(-(-r // 4) - i for i, r in enumerate(taken)) == 2 * workers
+    assert max(r - 4 * i for i, r in enumerate(taken)) == 8 * workers
 
 
 def test_long_unit_does_not_hold_back_the_rest(monkeypatch):
-    # the first subtree's report is held back until every other subtree
-    # has been submitted; a loop taking reports in submission order would
-    # stall at 2 x workers in flight, and the timer releases it after 5 s
-    workers, roots = 2, 29
+    # the first unit's report is held back until every other unit (29
+    # subtree roots, four a unit) has been submitted; a loop taking reports
+    # in submission order would stall at 2 x workers in flight, and the
+    # timer releases it after 5 s
+    workers, units = 2, 8
     held = Future()
     released = []
 
@@ -309,7 +320,7 @@ def test_long_unit_does_not_hold_back_the_rest(monkeypatch):
         def submit(self, fn, /, *args, **kwargs):
             if self.tasks:
                 future = super().submit(fn, *args, **kwargs)
-                if len(self.tasks) == roots:
+                if len(self.tasks) == units:
                     release("last submit", self.first)
                 return future
             self.tasks.append(fn)
@@ -332,7 +343,7 @@ def test_long_unit_does_not_hold_back_the_rest(monkeypatch):
         assert strip(scan(spec, workers=workers)) == strip(serial)
     finally:
         pools[0].timer.cancel()
-    assert len(pools[0].tasks) == roots
+    assert len(pools[0].tasks) == units
     assert released == ["last submit"]
 
 
@@ -345,7 +356,7 @@ def test_pool_size_capped_by_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(search, "ProcessPoolExecutor", executor)
-    spec = ScanSpec(7, P1)  # six subtree roots
+    spec = ScanSpec(8, G1)  # 21 subtree roots, six units
     lines = [write_graph6(cycle_graph(5))] * 600
     stream_spec = ScanSpec(5, G1, source="stream")
     for workers in (2, 3, 5000):
@@ -396,7 +407,7 @@ def test_three_unit_scan_starts_a_pool(monkeypatch):
         return pools[-1]
 
     stream_spec = ScanSpec(10, G1, source="stream")
-    gen_spec = ScanSpec(7, P1)  # six subtree roots
+    gen_spec = ScanSpec(8, G1)  # 21 subtree roots, six units
     streams = [order_10_lines(513), order_10_lines(768)]
     serial = [scan(stream_spec, lines) for lines in streams] + [scan(gen_spec)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -404,6 +415,28 @@ def test_three_unit_scan_starts_a_pool(monkeypatch):
     parallel = [scan(stream_spec, lines, workers=2) for lines in streams] + [scan(gen_spec, workers=2)]
     assert list(map(strip, parallel)) == list(map(strip, serial))
     assert [len(pool.tasks) for pool in pools] == [3, 3, 6]
+
+
+def test_census_units_are_four_consecutive_roots(monkeypatch):
+    # the two census scans send 20 and 16 units of at most four roots each,
+    # and the units read in turn are the subtree roots in depth-first order
+    units = []
+
+    class RecordingExecutor(InlineExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            units.append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
+    for spec, count in ((ScanSpec(9, G1), 20), (ScanSpec(10, G1, prune_rules=frozenset(RULE_ORDER)), 16)):
+        units.clear()
+        scan(spec, workers=2)
+        floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
+        assert len(units) == count and all(1 <= len(unit) <= 4 for unit in units)
+        assert [root for unit in units for root in unit] == list(
+            subtree_roots(spec.n, max_degree=cap, min_degree=floor)
+        )
 
 
 def test_stream_scan_real_pool_agrees_at_the_threshold(caplog):
@@ -649,10 +682,11 @@ def test_member_walks_are_checked_before_the_exact_search(monkeypatch):
     cert = certify(petersen(), G1)
     walks = cert.witness_walks
 
-    def reached(g):
+    def reached(g, keep=None):
         raise _SearchReached
 
-    monkeypatch.setattr(search, "circumference", reached)
+    for solver in ("circumference", "detour_order", "hamilton_cycle", "hamilton_path"):
+        monkeypatch.setattr(search, solver, reached)
     with pytest.raises(_SearchReached):
         verify_certificate(cert)
     for i in (0, 4, 9):

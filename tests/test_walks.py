@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamclass import walks
 from hamclass.graphs import (
     Graph,
     bits,
@@ -50,7 +51,7 @@ from util import (
     random_relabel,
     relabel,
     seed_cycle_reference,
-    walk_calls,
+    code_calls,
 )
 
 
@@ -485,8 +486,8 @@ def test_cycle_work_is_pinned(name):
     longest = Counter()
     decided = Counter()
     for g in _relabellings(make):
-        longest += walk_calls(lambda: circumference(g))
-        decided += walk_calls(lambda: membership(g, params))
+        longest += code_calls(lambda: circumference(g), walks)
+        decided += code_calls(lambda: membership(g, params), walks)
     got = [longest["extend"], longest["grow"], decided["extend"], decided["grow"]]
     assert got == want
 
@@ -496,7 +497,7 @@ def test_path_work_is_pinned(name):
     make, *want = PATH_WORK[name]
     calls = Counter()
     for g in _relabellings(make):
-        calls += walk_calls(lambda: detour_order(g))
+        calls += code_calls(lambda: detour_order(g), walks)
     assert [calls["extend"], calls["grow"]] == want
 
 

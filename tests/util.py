@@ -11,9 +11,9 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations, permutations
+from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
-from hamclass import walks
 from hamclass.attachment import AttachmentConfig, _first_insertion
 from hamclass.canon import canonical_form, marked_code
 from hamclass.graphs import (
@@ -929,19 +929,23 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def walk_calls(fn: Callable[[], object]) -> Counter[str]:
-    """Calls of the functions defined in `hamclass.walks`, nested ones such
-    as `extend` and `grow` included, that fn() makes, by code name.
+def code_calls(fn: Callable[[], object], *scopes: ModuleType | Callable) -> Counter[str]:
+    """Calls that fn() makes of the code in `scopes`, by code name: of every
+    function defined in a module scope, nested ones such as `extend` and
+    `grow` included, and of each function scope itself.
 
     Counted from the `"call"` events of `sys.setprofile`, so the library
     pays nothing for it outside this helper.
     """
     calls: Counter[str] = Counter()
-    filename = walks.__file__
+    files = {scope.__file__ for scope in scopes if isinstance(scope, ModuleType)}
+    codes = {scope.__code__ for scope in scopes if not isinstance(scope, ModuleType)}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == filename:
-            calls[frame.f_code.co_name] += 1
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename in files or code in codes:
+                calls[code.co_name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
