@@ -63,9 +63,17 @@ Let A be the attachment set, so v has degree s = |A|.
   Aut(child). A tie in v's orbit has v's marked code, so it needs no code
   of its own; of each other orbit one tie is compared with v. A kept child
   hands this group down to its own `_grow`, which then needs no search of
-  its own. The group is built only when ties survive refinement, so a
-  child settled by degree or cell pays nothing for it, and gets its group
-  from `automorphism_generators` only if it has children to grow.
+  its own. The group is built only when ties survive refinement.
+- A child settled by degree or by its cell takes its group from its
+  parent. `_is_canonical` returns no group exactly then, and then no
+  other vertex ties v, so the canonical orbit is {v} and every
+  automorphism of the child fixes v. Such an automorphism restricts to an
+  automorphism of the parent that maps A onto itself, and each of those
+  extends to the child by fixing v. So Aut(child) is the stabiliser of A
+  in Aut(parent), with v fixed, and `_stabiliser` gets its generators
+  from the parent's by Schreier's lemma. Only a child with children to
+  grow needs it. A subtree root, and the one-vertex root, has no parent
+  group at hand and gets its group from `automorphism_generators`.
 
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
@@ -171,6 +179,16 @@ def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | No
     return True, gens
 
 
+def _image(mask: int, gamma: list[int]) -> int:
+    """The image of a vertex set under a permutation."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= 1 << gamma[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
 def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
     """The images of a vertex set under the group the permutations generate."""
     orbit = {mask}
@@ -178,16 +196,47 @@ def _orbit(mask: int, gens: list[list[int]]) -> set[int]:
     while frontier:
         s = frontier.pop()
         for gamma in gens:
-            image = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                image |= 1 << gamma[low.bit_length() - 1]
-                rest ^= low
+            image = _image(s, gamma)
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
     return orbit
+
+
+def _stabiliser(gens: list[list[int]], attach: int) -> list[list[int]]:
+    """Generators of the automorphisms of the child with a new vertex joined
+    to `attach` that fix that vertex, from generators `gens` of Aut(parent).
+
+    These are the parent's automorphisms that map `attach` onto itself, each
+    extended to fix the new vertex. One walk of the orbit of `attach` keeps,
+    for each set X met, a t_X carrying `attach` onto X; by Schreier's lemma
+    the products t_{gamma(X)}^-1 gamma t_X generate the set stabiliser.
+    """
+    if not gens:
+        return []
+    m = len(gens[0])
+    identity = list(range(m))
+    transversal = {attach: identity}
+    frontier = [attach]
+    found: set[tuple[int, ...]] = set()
+    while frontier:
+        s = frontier.pop()
+        t = transversal[s]
+        for gamma in gens:
+            image = _image(s, gamma)
+            moved = [gamma[x] for x in t]
+            back = transversal.get(image)
+            if back is None:
+                transversal[image] = moved
+                frontier.append(image)
+                continue
+            inverse = [0] * m
+            for x, y in enumerate(back):
+                inverse[y] = x
+            schreier = [inverse[y] for y in moved]
+            if schreier != identity:
+                found.add(tuple(schreier))
+    return [[*perm, m] for perm in found]
 
 
 def _children(
@@ -257,7 +306,8 @@ def _grow(
     """graph itself at order `stop` (default n), else the nodes of that
     order below it in the tree whose window is that of order n. `gens`,
     when given, generate Aut(graph)."""
-    if graph.n == (n if stop is None else stop):
+    last = n if stop is None else stop
+    if graph.n == last:
         yield graph
         return
     m = graph.n + 1
@@ -272,6 +322,8 @@ def _grow(
             continue
         kept, child_gens = _is_canonical(child, noncut)
         if kept:
+            if child_gens is None and m < last:
+                child_gens = _stabiliser(gens, child.adj[-1])
             yield from _grow(child, n, max_degree, min_degree, stop, child_gens)
 
 

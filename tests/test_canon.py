@@ -19,6 +19,7 @@ from util import (
     canonical_graph6,
     complete_graph,
     cycle_graph,
+    generated_group,
     min_perm_code,
     path_graph,
     random_graph,
@@ -75,19 +76,6 @@ def test_watched_refine_matches_reference():
         else:
             assert got == want
     assert rejected > 500
-
-
-def generated_group(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
-    group = {tuple(range(n))}
-    frontier = list(group)
-    while frontier:
-        perm = frontier.pop()
-        for gamma in gens:
-            image = tuple(gamma[v] for v in perm)
-            if image not in group:
-                group.add(image)
-                frontier.append(image)
-    return group
 
 
 def test_recorded_automorphisms_generate_the_group(corpus):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
@@ -13,9 +14,11 @@ from util import (
     _canonical_code_reference,
     _children_reference,
     automorphism_count,
+    brute_automorphisms,
     brute_orbits,
     code_calls,
     generate_connected_reference,
+    generated_group,
     min_perm_code,
 )
 
@@ -162,6 +165,55 @@ def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
     assert grouped or n < 4
 
 
+@pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
+def test_handed_down_group_is_the_automorphism_group(monkeypatch, n, lo, hi):
+    # every kept node with children to grow gets generators of all of its
+    # automorphisms: by a search at a root, by the tie search of
+    # _is_canonical, or by _stabiliser from its parent's group
+    grow = hamclass.generate._grow
+    handed = []
+
+    def recording(graph, order, max_degree, min_degree, stop=None, gens=None):
+        if gens is not None and graph.n < (order if stop is None else stop):
+            handed.append((graph, gens))
+        return grow(graph, order, max_degree, min_degree, stop, gens)
+
+    monkeypatch.setattr(hamclass.generate, "_grow", recording)
+    count = sum(1 for _ in generate_connected(n, max_degree=hi, min_degree=lo))
+    assert count == (CONNECTED_COUNTS[n] if hi is None else PINNED_REPRESENTATIVES[n, lo, hi][0])
+    symmetric = 0
+    for graph, gens in handed:
+        group = generated_group(gens, graph.n)
+        assert group == set(brute_automorphisms(graph))
+        symmetric += len(group) > 1
+    assert symmetric or n < 4
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labelled_count_of_every_window(n):
+    # the sum over the classes of n!/|Aut| is the number of labelled
+    # connected graphs with every degree in the window, here counted over
+    # all 2^C(n, 2) labelled graphs
+    pairs = list(combinations(range(n), 2))
+    labelled = Counter()
+    for edges in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if edges >> i & 1])
+        if is_connected(g):
+            degrees = [row.bit_count() for row in g.adj]
+            labelled[min(degrees), max(degrees)] += 1
+    for lo in range(n + 1):
+        for hi in (None, *range(n)):
+            got = sum(
+                factorial(n) // automorphism_count(g)
+                for g in generate_connected(n, max_degree=hi, min_degree=lo)
+            )
+            assert got == sum(
+                count
+                for (least, most), count in labelled.items()
+                if least >= lo and (hi is None or most <= hi)
+            ), (lo, hi)
+
+
 def test_degree_skip_drops_only_noncanonical_children(corpus):
     # with no group to dedupe by, _children leaves out exactly the
     # attachment sets the degree skip rejects; the reference must reject
@@ -205,12 +257,13 @@ REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 
 
 # calls of _is_canonical, trusted_graph (the children built), refine,
-# marked_code and automorphism_generators while generating order n with every
-# degree in [lo, hi]: a lost prune or orbit test moves them, not the output
+# marked_code, automorphism_generators and _stabiliser while generating order
+# n with every degree in [lo, hi]: a lost prune or orbit test moves them, not
+# the output
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 4380, 4, 438),
-    (9, 3, 4): (4284, 4492, 13082, 245, 1628),
-    (10, 3, 3): (592, 850, 4213, 202, 437),
+    (7, 0, None): (1361, 1361, 4111, 4, 377, 61),
+    (9, 3, 4): (4284, 4492, 10837, 245, 840, 788),
+    (10, 3, 3): (592, 850, 3690, 202, 279, 158),
 }
 
 
@@ -222,7 +275,7 @@ def test_generator_work_is_pinned(n, lo, hi):
         hamclass.canon,
         trusted_graph,
     )
-    names = ("_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators")
+    names = ("_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators", "_stabiliser")
     assert tuple(calls[name] for name in names) == GENERATOR_WORK[n, lo, hi]
 
 

@@ -329,6 +329,20 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
+def generated_group(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on range(n) that gens generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for gamma in gens:
+            image = tuple(gamma[v] for v in perm)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
 def brute_orbits(g: Graph) -> list[set[int]]:
     """Vertex orbits under the full automorphism group."""
     parent = list(range(g.n))
