@@ -27,7 +27,7 @@ reach, and the roots stop once n - a is no longer than the incumbent.
 
 One search answers both Hamilton questions, on the graph G[keep] that a
 vertex mask `keep` induces (all of G by default). `_spanning_path(adj,
-keep, verts, ends, gap)` returns the lexicographically first Hamilton
+keep, verts, ends)` returns the lexicographically first Hamilton
 path of the graph on `verts` that runs from a vertex of `ends` to a
 higher one. A Hamilton path of G[keep] is one with `verts` and `ends`
 both `keep`. A Hamilton cycle a, b, ..., c of G[keep], with a its least
@@ -74,14 +74,40 @@ Every other rule cuts only branches that have no completion at all.
   neighbour of the end.
 - A Hamilton path alternates between the sides of a 2-colouring, so the
   sides of a bipartite graph with a Hamilton path differ by at most one,
-  and those of one with a Hamilton cycle not at all. `gap` is that bound
-  for the whole graph on `keep`: 1 for paths, 0 for cycles. The test
-  runs only once the first start has failed, so a graph whose first
-  start holds a walk pays nothing for it.
+  and those of one with a Hamilton cycle not at all. The search tests
+  the first bound on the whole graph on `keep` only once the first start
+  has failed, so a graph whose first start holds a walk pays nothing for
+  it; `hamilton_cycle` has tested the second before it asks.
 
 The search visits branches in lexicographic order and cuts none that
 holds a walk it is asked for, so it returns the first such walk, or
 None, whatever it prunes: no witness depends on the rules.
+
+Before it asks for the first Hamilton cycle, `hamilton_cycle` asks
+whether there is one at all: a 2-colouring with unequal sides says no,
+and otherwise `_no_hamilton_cycle` branches on edges under degree
+constraints (Vandegriend & Culberson, JAIR 9, 1998; Eppstein, JGAA 11,
+2007). Its state holds the edges still available and the edges chosen;
+the chosen edges form paths. Each rule cuts only states whose available
+edges hold no Hamilton cycle through all their chosen edges: a vertex
+with fewer than two available edges has none; a vertex with two chosen
+edges uses no other, and one with exactly two available edges uses both;
+a chosen edge that joins two paths makes their far ends x and y the ends
+of one path, and the edge xy would close it into a cycle, which is a
+Hamilton cycle only as the n-th edge, so xy goes before that; and a
+Hamilton cycle connects every vertex, so the available graph must stay
+connected, which after some deletions from a connected graph holds iff
+the ends of the deleted edges lie in one component. A node branches at a
+path end v with fewest available edges: v needs exactly one more edge,
+so either its lowest free edge is chosen, which deletes the others, or
+it is deleted; before any edge is chosen, the lowest edge of a vertex
+with fewest edges is chosen or deleted. Every cycle of the state lies
+in exactly one branch, and propagation starts only from the vertices
+whose edges the branch changed. The search only ever answers "no": when
+it finds a cycle, `_spanning_path` still runs and returns the first one,
+and both searches are exact, so every witness, and every None, is what
+`_spanning_path` alone gives. The 2-colouring goes first because the
+edge search has no parity argument: on K_{6,7} it takes 86,399 nodes.
 
 The branch and bound starts from a seed cycle: the first DFS cycle,
 grown by outside detours in one sweep over its edges. For an edge (a, b)
@@ -161,7 +187,9 @@ def check_witness(g: Graph, w: CycleWitness | PathWitness) -> None:
 
 def _colour_gap(adj: tuple[int, ...], keep: int) -> int:
     """How many more vertices one side of the 2-colouring of the connected
-    graph on `keep` has than the other, or 0 when it has no 2-colouring."""
+    graph on `keep` has than the other, or 0 when it has no 2-colouring.
+    On a disconnected graph it reads the component of the lowest vertex;
+    such a graph has no spanning walk, so a nonzero answer is still right."""
     seen = frontier = keep & -keep
     sides = [seen, 0]
     colour = 0
@@ -180,13 +208,11 @@ def _colour_gap(adj: tuple[int, ...], keep: int) -> int:
     return abs(sides[0].bit_count() - sides[1].bit_count())
 
 
-def _spanning_path(
-    adj: tuple[int, ...], keep: int, verts: int, ends: int, gap: int
-) -> tuple[int, ...] | None:
+def _spanning_path(adj: tuple[int, ...], keep: int, verts: int, ends: int) -> tuple[int, ...] | None:
     """First Hamilton path of the graph on `verts` that runs from a vertex
     of `ends` to a higher one, in ascending search order, or None. The
     2-colouring of the graph on `keep`, which holds `verts`, may have sides
-    that differ by at most `gap`. The rules are argued in the module
+    that differ by at most one. The rules are argued in the module
     docstring.
     """
     low = verts & mask_of(v for v, row in enumerate(adj) if (row & verts).bit_count() <= 1)
@@ -231,7 +257,7 @@ def _spanning_path(
     # asked once, before the second start
     allowed = ends
     while allowed & (allowed - 1):
-        if allowed == ends & (ends - 1) and _colour_gap(adj, keep) > gap:
+        if allowed == ends & (ends - 1) and _colour_gap(adj, keep) > 1:
             return None
         bit = allowed & -allowed
         allowed ^= bit
@@ -245,6 +271,122 @@ def _spanning_path(
     return None
 
 
+def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
+    """Whether the graph on `keep` has no Hamilton cycle, by branching on
+    edges under degree constraints (module docstring). False means a
+    cycle exists; which one is left to `_spanning_path`.
+
+    State: `avail[v]` and `chosen[v]` are the available and chosen edges of
+    v as neighbour masks, and `far[v]` is the far end of the chosen path
+    that v ends (v itself while v has no chosen edge). A search call may
+    change the lists it is given; the first branch of a node gets copies.
+    """
+    n = keep.bit_count()
+    if n < 3:
+        return True
+    kept = list(bits(keep))
+
+    def settle(avail: list[int], chosen: list[int], far: list[int], edges: int, todo: int) -> int:
+        """Apply the rules from the vertices of `todo`, whose edges just
+        changed. Returns the chosen edge count, -1 when the state holds no
+        Hamilton cycle, or n when its chosen edges close one."""
+        cut = todo
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
+            a = avail[v]
+            c = chosen[v]
+            rest = a & (a - 1)
+            if not rest:
+                return -1
+            if a == c:
+                continue
+            if c & (c - 1):
+                # two chosen edges: the others go
+                drop = a ^ c
+                avail[v] = c
+                todo |= drop
+                cut |= drop | bit
+                while drop:
+                    low = drop & -drop
+                    drop ^= low
+                    avail[low.bit_length() - 1] ^= bit
+            elif not rest & (rest - 1):
+                # two available edges: both are chosen
+                new = a ^ c
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
+                    cw = chosen[w]
+                    if cw & (cw - 1) or not avail[v] & low:
+                        return -1
+                    x, y = far[v], far[w]
+                    chosen[v] |= low
+                    chosen[w] = cw | bit
+                    far[x], far[y] = y, x
+                    edges += 1
+                    todo |= low
+                    if edges == n - 1:
+                        return n if avail[x] >> y & 1 else -1
+                    # the edge that would close the joined path early goes
+                    if avail[x] >> y & 1 and (x, y) != (v, w):
+                        avail[x] ^= 1 << y
+                        avail[y] ^= 1 << x
+                        todo |= 1 << x | 1 << y
+                        cut |= 1 << x | 1 << y
+        # the graph was connected before these deletions, so it still is iff
+        # their ends lie in one component
+        return edges if joined(avail, keep, cut) else -1
+
+    def delete(avail: list[int], chosen: list[int], far: list[int], edges: int, v: int, drop: int) -> bool:
+        """Whether a Hamilton cycle remains once the edges from v to `drop` go."""
+        avail[v] ^= drop
+        bit = 1 << v
+        for w in bits(drop):
+            avail[w] ^= bit
+        got = settle(avail, chosen, far, edges, drop | bit)
+        return got == n or got >= 0 and branch(avail, chosen, far, got)
+
+    def branch(avail: list[int], chosen: list[int], far: list[int], edges: int) -> bool:
+        """Whether the settled state holds a Hamilton cycle."""
+        # a path end with fewest available edges; every end has three or more
+        v = -1
+        fewest = n
+        for u in kept:
+            c = chosen[u]
+            if c and not c & (c - 1):
+                d = avail[u].bit_count()
+                if d < fewest:
+                    v, fewest = u, d
+                    if d == 3:
+                        break
+        if v >= 0:
+            # the end needs one more edge: choosing its lowest free one
+            # deletes the others
+            free = avail[v] ^ chosen[v]
+            low = free & -free
+            return delete(avail[:], chosen[:], far[:], edges, v, free ^ low) or delete(
+                avail, chosen, far, edges, v, low
+            )
+        # nothing chosen yet: choose, else delete, the lowest edge of a vertex
+        # with fewest edges
+        v = min(kept, key=lambda u: avail[u].bit_count())
+        w = (avail[v] & -avail[v]).bit_length() - 1
+        took, far2 = chosen[:], far[:]
+        took[v], took[w], far2[v], far2[w] = 1 << w, 1 << v, w, v
+        return branch(avail[:], took, far2, 1) or delete(avail, chosen, far, edges, v, 1 << w)
+
+    avail = [row & keep for row in adj]
+    chosen = [0] * len(adj)
+    far = list(range(len(adj)))
+    # settling from every vertex ends with the test that the graph is
+    # connected
+    edges = settle(avail, chosen, far, 0, keep)
+    return edges < 0 or edges < n and not branch(avail, chosen, far, edges)
+
+
 def _kept(g: Graph, keep: int | None) -> int:
     if keep is None:
         return g.vertex_mask
@@ -256,11 +398,15 @@ def _kept(g: Graph, keep: int | None) -> int:
 def hamilton_cycle(g: Graph, keep: int | None = None) -> CycleWitness | None:
     """First Hamilton cycle of the graph on the vertex mask `keep` (all of
     G by default) in ascending search order, or None: its least vertex a
-    and the first Hamilton path of the rest between two neighbours of a."""
+    and the first Hamilton path of the rest between two neighbours of a,
+    asked only once the 2-colouring and the edge search have not refuted
+    a cycle."""
     keep = _kept(g, keep)
+    if _colour_gap(g.adj, keep) or _no_hamilton_cycle(g.adj, keep):
+        return None
     root = keep & -keep
     a = root.bit_length() - 1
-    found = _spanning_path(g.adj, keep, keep ^ root, g.adj[a] & keep, 0)
+    found = _spanning_path(g.adj, keep, keep ^ root, g.adj[a] & keep)
     return None if found is None else CycleWitness((a, *found))
 
 
@@ -270,7 +416,7 @@ def hamilton_path(g: Graph, keep: int | None = None) -> PathWitness | None:
     keep = _kept(g, keep)
     if not keep & (keep - 1):
         return PathWitness((keep.bit_length() - 1,))
-    found = _spanning_path(g.adj, keep, keep, keep, 1)
+    found = _spanning_path(g.adj, keep, keep, keep)
     return None if found is None else PathWitness(found)
 
 

@@ -215,6 +215,18 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def clique_theta(blobs: int, size: int) -> Graph:
+    """Hubs 0 and 1 and `blobs` copies of K_size; hub h is joined to vertex
+    h of each copy. Removing the two hubs leaves `blobs` components, so for
+    three or more there is no Hamilton cycle."""
+    edges = []
+    for b in range(blobs):
+        first = 2 + b * size
+        edges += [(first + i, first + j) for i, j in combinations(range(size), 2)]
+        edges += [(0, first), (1, first + 1)]
+    return Graph.from_edges(2 + blobs * size, edges)
+
+
 def generalized_petersen(m: int, s: int, drop: Iterable[tuple[int, int]] = ()) -> Graph:
     """GP(m, s): outer vertex i, inner vertex m+i, minus the edges in `drop`."""
     edges = set()
