@@ -11,8 +11,8 @@ and return the first of these that applies:
 
 - a spanning seed cycle (`circumference` only), as it is;
 - the walk `hamilton_cycle` / `hamilton_path` finds: the lexicographically
-  first Hamilton sequence, from vertex 0 for cycles and over ascending
-  start vertices for paths;
+  first Hamilton sequence, from vertex 0 towards the lower of its two
+  neighbours for cycles and over ascending start vertices for paths;
 - otherwise the incumbent of `_longest`, the one branch and bound for
   both walks, which prunes only by reach. It starts from the seed cycle
   (from the single vertex 0 for paths), visits walks in lexicographic
@@ -25,31 +25,24 @@ closes at any vertex. A cycle rooted at a closes at a neighbour of a and
 uses no vertex below a, so its subtree needs a neighbour of a within
 reach, and the roots stop once n - a is no longer than the incumbent.
 
-One search answers both Hamilton questions, on the graph G[keep] that a
-vertex mask `keep` induces (all of G by default). `_spanning_path(adj,
-keep, verts, ends)` returns the lexicographically first Hamilton
-path of the graph on `verts` that runs from a vertex of `ends` to a
-higher one. A Hamilton path of G[keep] is one with `verts` and `ends`
-both `keep`. A Hamilton cycle a, b, ..., c of G[keep], with a its least
-vertex, is a and then a Hamilton path of G[keep] - a from b to c, two
-neighbours of a. So `hamilton_cycle` asks for a path of G[keep] - a
-whose ends are neighbours of a, and puts a in front. Putting a in front
-keeps the lexicographic order, so the first such path gives the first
-cycle. Every row the search reads is masked to `keep`, and relabelling
-`keep` in label order keeps the ascending order, so the walk is the one
-`induced_subgraph(g, keep)` gives, in the labels of G.
+Both Hamilton questions are asked on the graph G[keep] that a vertex
+mask `keep` induces (all of G by default). Every row a search reads is
+masked to `keep`, and relabelling `keep` in label order keeps the
+ascending order, so the walk is the one `induced_subgraph(g, keep)`
+gives, in the labels of G.
 
-The search tries the starts in ascending order, and under start s only
-the `allowed` vertices, the ends above s, may end the path. A path from s
-that ends at e < s reverses into a path from e, and start e has already
-failed. The highest end has no end above it, so it is not tried. The
+`_spanning_path(adj, keep)` returns the lexicographically first Hamilton
+path. It tries the starts in ascending order, and under start s only the
+`allowed` vertices, those above s, may end the path. A path from s that
+ends at e < s reverses into a path from e, and start e has already
+failed. The highest vertex has none above it, so it is not tried. The
 first Hamilton path ends above its start, since otherwise its reverse
-would come first; the first Hamilton cycle has b < c for the same reason.
+would come first.
 
 Every other rule cuts only branches that have no completion at all.
-- A vertex of `verts` with at most one neighbour in `verts` can only end
-  the path, so more than two of them, or one that is not in `ends`,
-  answer None before any search; the others are the first `short` set.
+- A vertex with at most one neighbour in `keep` can only end the path, so
+  more than two of them answer None before any search; the others are
+  the first `short` set.
 - `short` holds the unused vertices with at most one unused neighbour.
   A vertex's count changes only when a neighbour is used, so the set is
   carried down the search, and each node recounts only the unused
@@ -64,7 +57,7 @@ Every other rule cuts only branches that have no completion at all.
   The last unused vertex is then allowed, and the leaf checks nothing.
 - The rest of a Hamilton path is a spanning path of the unused vertices,
   so they must induce a connected graph. That holds at a start s when
-  `verts` is connected and the neighbours of s are joined without s. A
+  `keep` is connected and the neighbours of s are joined without s. A
   step to w keeps it iff the unused neighbours of w lie in one component
   of the unused vertices without w, since every other unused vertex
   reached w through one of them. So only a w with two or more unused
@@ -73,41 +66,51 @@ Every other rule cuts only branches that have no completion at all.
   has a step: the unused vertices stay connected and include a
   neighbour of the end.
 - A Hamilton path alternates between the sides of a 2-colouring, so the
-  sides of a bipartite graph with a Hamilton path differ by at most one,
-  and those of one with a Hamilton cycle not at all. The search tests
-  the first bound on the whole graph on `keep` only once the first start
-  has failed, so a graph whose first start holds a walk pays nothing for
-  it; `hamilton_cycle` has tested the second before it asks.
+  sides of a bipartite graph with a Hamilton path differ by at most one.
+  The search tests this bound only once the first start has failed, so a
+  graph whose first start holds a path pays nothing for it.
 
 The search visits branches in lexicographic order and cuts none that
-holds a walk it is asked for, so it returns the first such walk, or
-None, whatever it prunes: no witness depends on the rules.
+holds a path, so it returns the first one, or None, whatever it prunes:
+no witness depends on the rules.
 
-Before it asks for the first Hamilton cycle, `hamilton_cycle` asks
-whether there is one at all: a 2-colouring with unequal sides says no,
-and otherwise `_no_hamilton_cycle` branches on edges under degree
-constraints (Vandegriend & Culberson, JAIR 9, 1998; Eppstein, JGAA 11,
-2007). Its state holds the edges still available and the edges chosen;
-the chosen edges form paths. Each rule cuts only states whose available
-edges hold no Hamilton cycle through all their chosen edges: a vertex
-with fewer than two available edges has none; a vertex with two chosen
-edges uses no other, and one with exactly two available edges uses both;
-a chosen edge that joins two paths makes their far ends x and y the ends
-of one path, and the edge xy would close it into a cycle, which is a
-Hamilton cycle only as the n-th edge, so xy goes before that; and a
-Hamilton cycle connects every vertex, so the available graph must stay
-connected, which after some deletions from a connected graph holds iff
-the ends of the deleted edges lie in one component. A node branches at a
-path end v with fewest available edges: v needs exactly one more edge,
-so either its lowest free edge is chosen, which deletes the others, or
-it is deleted; before any edge is chosen, the lowest edge of a vertex
-with fewest edges is chosen or deleted. Every cycle of the state lies
-in exactly one branch, and propagation starts only from the vertices
-whose edges the branch changed. The search only ever answers "no": when
-it finds a cycle, `_spanning_path` still runs and returns the first one,
-and both searches are exact, so every witness, and every None, is what
-`_spanning_path` alone gives. The 2-colouring goes first because the
-edge search has no parity argument: on K_{6,7} it takes 86,399 nodes.
+`hamilton_cycle` reads a cycle from the least kept vertex a towards the
+lower of a's two neighbours, and returns the first in that order. A
+Hamilton cycle alternates between the sides of a 2-colouring, so a
+bipartite graph whose sides differ has none. Otherwise `_edge_search`
+branches on edges under degree constraints (Vandegriend & Culberson,
+JAIR 9, 1998; Eppstein, JGAA 11, 2007). Its state holds the edges still
+available and the edges chosen; the chosen edges form paths. Each rule
+either cuts a state whose available edges hold no Hamilton cycle through
+all its chosen edges, or deletes or chooses an edge that no such cycle
+uses or every one does: a vertex with fewer than two available edges has
+none; a vertex with two chosen edges uses no other, and one with exactly
+two available edges uses both; a chosen edge that joins two paths makes
+their far ends x and y the ends of one path, and the edge xy would close
+it into a cycle, which is a Hamilton cycle only as the n-th edge, so xy
+goes before that; and a Hamilton cycle connects every vertex, so the
+available graph must stay connected, which after some deletions from a
+connected graph holds iff the ends of the deleted edges lie in one
+component. Propagation starts only from the vertices whose edges the
+branch changed.
+
+The search branches only where every cycle of its state shares a prefix.
+- At a: with two chosen edges, v1 is the lower of their other ends. With
+  one chosen edge a-x and a free edge below x, or with no chosen edge, a
+  branches on its lowest free edge aw: choose it, else delete it. With
+  one chosen edge a-x and no free edge below x, v1 = x.
+- Once v1 is known, every cycle of the state begins a, v1, ..., e along
+  the chosen edges, and the end e needs one more edge: choose e's lowest
+  free edge ew, which deletes its other free edges, else delete it.
+In both places the first branch holds exactly the cycles of the state
+whose next vertex is w, and the second the cycles whose next vertex is
+higher; propagation drops no cycle and reorders none. So depth-first
+order is ascending order. A state whose n - 1 chosen edges form a path
+with an available closing edge holds that one cycle, read from a, so the
+first cycle the search meets is the first Hamilton cycle: every witness,
+and every None, is what a vertex-by-vertex search from a gives. The
+2-colouring goes first because the edge search has no parity argument:
+on K_{6,7} it takes 85,679 nodes.
 
 The branch and bound starts from a seed cycle: the first DFS cycle,
 grown by outside detours in one sweep over its edges. For an edge (a, b)
@@ -208,15 +211,11 @@ def _colour_gap(adj: tuple[int, ...], keep: int) -> int:
     return abs(sides[0].bit_count() - sides[1].bit_count())
 
 
-def _spanning_path(adj: tuple[int, ...], keep: int, verts: int, ends: int) -> tuple[int, ...] | None:
-    """First Hamilton path of the graph on `verts` that runs from a vertex
-    of `ends` to a higher one, in ascending search order, or None. The
-    2-colouring of the graph on `keep`, which holds `verts`, may have sides
-    that differ by at most one. The rules are argued in the module
-    docstring.
-    """
-    low = verts & mask_of(v for v, row in enumerate(adj) if (row & verts).bit_count() <= 1)
-    if low.bit_count() > 2 or low & ~ends or not joined(adj, verts, verts):
+def _spanning_path(adj: tuple[int, ...], keep: int) -> tuple[int, ...] | None:
+    """First Hamilton path of the graph on `keep` in ascending search order,
+    or None. The rules are argued in the module docstring."""
+    low = keep & mask_of(v for v, row in enumerate(adj) if (row & keep).bit_count() <= 1)
+    if low.bit_count() > 2 or not joined(adj, keep, keep):
         return None
 
     path: list[int] = []
@@ -253,16 +252,16 @@ def _spanning_path(adj: tuple[int, ...], keep: int, verts: int, ends: int) -> tu
             path.pop()
         return None
 
-    # each start leaves the ends above it in `allowed`; the 2-colouring is
-    # asked once, before the second start
-    allowed = ends
+    # each start leaves the vertices above it in `allowed`; the 2-colouring
+    # is asked once, before the second start
+    allowed = keep
     while allowed & (allowed - 1):
-        if allowed == ends & (ends - 1) and _colour_gap(adj, keep) > 1:
+        if allowed == keep & (keep - 1) and _colour_gap(adj, keep) > 1:
             return None
         bit = allowed & -allowed
         allowed ^= bit
         s = bit.bit_length() - 1
-        rest = verts ^ bit
+        rest = keep ^ bit
         if joined(adj, rest, adj[s] & rest):
             path[:] = [s]
             got = extend(s, rest, low & ~bit)
@@ -271,10 +270,10 @@ def _spanning_path(adj: tuple[int, ...], keep: int, verts: int, ends: int) -> tu
     return None
 
 
-def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
-    """Whether the graph on `keep` has no Hamilton cycle, by branching on
-    edges under degree constraints (module docstring). False means a
-    cycle exists; which one is left to `_spanning_path`.
+def _edge_search(adj: tuple[int, ...], keep: int) -> tuple[int, ...] | None:
+    """First Hamilton cycle of the graph on `keep` in ascending order, read
+    from its least vertex a towards the lower of a's two neighbours, or
+    None, by branching on edges under degree constraints (module docstring).
 
     State: `avail[v]` and `chosen[v]` are the available and chosen edges of
     v as neighbour masks, and `far[v]` is the far end of the chosen path
@@ -283,8 +282,24 @@ def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
     """
     n = keep.bit_count()
     if n < 3:
-        return True
-    kept = list(bits(keep))
+        return None
+    a = (keep & -keep).bit_length() - 1
+
+    def join(avail: list[int], chosen: list[int], far: list[int], v: int, w: int, early: bool) -> int:
+        """Choose the edge vw between the path ends v and w. The edge xy
+        between the ends of the joined path would close it: returns x and y
+        as a mask when xy is available (0 otherwise), and deletes xy when
+        `early`, since a cycle closed before the n-th edge is not Hamilton."""
+        x, y = far[v], far[w]
+        chosen[v] |= 1 << w
+        chosen[w] |= 1 << v
+        far[x], far[y] = y, x
+        if not avail[x] >> y & 1 or (x, y) == (v, w):
+            return 0
+        if early:
+            avail[x] ^= 1 << y
+            avail[y] ^= 1 << x
+        return 1 << x | 1 << y
 
     def settle(avail: list[int], chosen: list[int], far: list[int], edges: int, todo: int) -> int:
         """Apply the rules from the vertices of `todo`, whose edges just
@@ -295,16 +310,16 @@ def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
             bit = todo & -todo
             todo ^= bit
             v = bit.bit_length() - 1
-            a = avail[v]
+            av = avail[v]
             c = chosen[v]
-            rest = a & (a - 1)
+            rest = av & (av - 1)
             if not rest:
                 return -1
-            if a == c:
+            if av == c:
                 continue
             if c & (c - 1):
                 # two chosen edges: the others go
-                drop = a ^ c
+                drop = av ^ c
                 avail[v] = c
                 todo |= drop
                 cut |= drop | bit
@@ -314,7 +329,7 @@ def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
                     avail[low.bit_length() - 1] ^= bit
             elif not rest & (rest - 1):
                 # two available edges: both are chosen
-                new = a ^ c
+                new = av ^ c
                 while new:
                     low = new & -new
                     new ^= low
@@ -322,69 +337,78 @@ def _no_hamilton_cycle(adj: tuple[int, ...], keep: int) -> bool:
                     cw = chosen[w]
                     if cw & (cw - 1) or not avail[v] & low:
                         return -1
-                    x, y = far[v], far[w]
-                    chosen[v] |= low
-                    chosen[w] = cw | bit
-                    far[x], far[y] = y, x
                     edges += 1
-                    todo |= low
+                    shut = join(avail, chosen, far, v, w, edges < n - 1)
                     if edges == n - 1:
-                        return n if avail[x] >> y & 1 else -1
-                    # the edge that would close the joined path early goes
-                    if avail[x] >> y & 1 and (x, y) != (v, w):
-                        avail[x] ^= 1 << y
-                        avail[y] ^= 1 << x
-                        todo |= 1 << x | 1 << y
-                        cut |= 1 << x | 1 << y
+                        return n if shut else -1
+                    todo |= low | shut
+                    cut |= shut
         # the graph was connected before these deletions, so it still is iff
         # their ends lie in one component
         return edges if joined(avail, keep, cut) else -1
 
-    def delete(avail: list[int], chosen: list[int], far: list[int], edges: int, v: int, drop: int) -> bool:
-        """Whether a Hamilton cycle remains once the edges from v to `drop` go."""
+    def delete(
+        avail: list[int], chosen: list[int], far: list[int], edges: int, v: int, drop: int
+    ) -> tuple[int, ...] | None:
+        """The first Hamilton cycle left once the edges from v to `drop` go."""
         avail[v] ^= drop
         bit = 1 << v
         for w in bits(drop):
             avail[w] ^= bit
-        got = settle(avail, chosen, far, edges, drop | bit)
-        return got == n or got >= 0 and branch(avail, chosen, far, got)
+        return first(avail, chosen, far, settle(avail, chosen, far, edges, drop | bit))
 
-    def branch(avail: list[int], chosen: list[int], far: list[int], edges: int) -> bool:
-        """Whether the settled state holds a Hamilton cycle."""
-        # a path end with fewest available edges; every end has three or more
-        v = -1
-        fewest = n
-        for u in kept:
-            c = chosen[u]
-            if c and not c & (c - 1):
-                d = avail[u].bit_count()
-                if d < fewest:
-                    v, fewest = u, d
-                    if d == 3:
-                        break
-        if v >= 0:
-            # the end needs one more edge: choosing its lowest free one
-            # deletes the others
+    def first(avail: list[int], chosen: list[int], far: list[int], edges: int) -> tuple[int, ...] | None:
+        """The first Hamilton cycle of a state that `settle` left at `edges`."""
+        if edges < 0:
+            return None
+        if edges < n:
+            return branch(avail, chosen, far, edges)
+        # the chosen path and its closing edge: an end steps over it
+        c = chosen[a]
+        if not c & (c - 1):
+            c |= 1 << far[a]
+        walk = [a]
+        prev, v = a, (c & -c).bit_length() - 1
+        while v != a:
+            walk.append(v)
+            nxt = chosen[v] & ~(1 << prev)
+            prev, v = v, nxt.bit_length() - 1 if nxt else far[v]
+        return tuple(walk)
+
+    def branch(avail: list[int], chosen: list[int], far: list[int], edges: int) -> tuple[int, ...] | None:
+        """The first Hamilton cycle of a settled state that has closed none."""
+        c = chosen[a]
+        free = avail[a] ^ c
+        low = free & -free
+        if not c:
+            # a's lowest edge: choose it, else delete it. It is not the
+            # (n - 1)-th edge: a has three available edges or more, and had
+            # the other vertices one chosen path, only its ends would remain
+            took, far2, avail2 = chosen[:], far[:], avail[:]
+            shut = join(avail2, took, far2, a, low.bit_length() - 1, True)
+            got = first(avail2, took, far2, settle(avail2, took, far2, edges + 1, 1 << a | low | shut))
+            return got or delete(avail, chosen, far, edges, a, low)
+        v = a
+        if c & (c - 1) or low > c:
+            # every cycle of the state begins a, v1, ..., e along the chosen
+            # edges, v1 the lower chosen neighbour of a: branch at e
+            prev, v = a, (c & -c).bit_length() - 1
+            while nxt := chosen[v] & ~(1 << prev):
+                prev, v = v, nxt.bit_length() - 1
             free = avail[v] ^ chosen[v]
             low = free & -free
-            return delete(avail[:], chosen[:], far[:], edges, v, free ^ low) or delete(
-                avail, chosen, far, edges, v, low
-            )
-        # nothing chosen yet: choose, else delete, the lowest edge of a vertex
-        # with fewest edges
-        v = min(kept, key=lambda u: avail[u].bit_count())
-        w = (avail[v] & -avail[v]).bit_length() - 1
-        took, far2 = chosen[:], far[:]
-        took[v], took[w], far2[v], far2[w] = 1 << w, 1 << v, w, v
-        return branch(avail[:], took, far2, 1) or delete(avail, chosen, far, edges, v, 1 << w)
+        # v needs one more edge: choosing its lowest free one deletes the
+        # others
+        return delete(avail[:], chosen[:], far[:], edges, v, free ^ low) or delete(
+            avail, chosen, far, edges, v, low
+        )
 
     avail = [row & keep for row in adj]
     chosen = [0] * len(adj)
     far = list(range(len(adj)))
     # settling from every vertex ends with the test that the graph is
     # connected
-    edges = settle(avail, chosen, far, 0, keep)
-    return edges < 0 or edges < n and not branch(avail, chosen, far, edges)
+    return first(avail, chosen, far, settle(avail, chosen, far, 0, keep))
 
 
 def _kept(g: Graph, keep: int | None) -> int:
@@ -397,17 +421,11 @@ def _kept(g: Graph, keep: int | None) -> int:
 
 def hamilton_cycle(g: Graph, keep: int | None = None) -> CycleWitness | None:
     """First Hamilton cycle of the graph on the vertex mask `keep` (all of
-    G by default) in ascending search order, or None: its least vertex a
-    and the first Hamilton path of the rest between two neighbours of a,
-    asked only once the 2-colouring and the edge search have not refuted
-    a cycle."""
+    G by default) in ascending order from its least vertex, or None: the
+    2-colouring refutes first, then the edge search answers."""
     keep = _kept(g, keep)
-    if _colour_gap(g.adj, keep) or _no_hamilton_cycle(g.adj, keep):
-        return None
-    root = keep & -keep
-    a = root.bit_length() - 1
-    found = _spanning_path(g.adj, keep, keep ^ root, g.adj[a] & keep)
-    return None if found is None else CycleWitness((a, *found))
+    found = None if _colour_gap(g.adj, keep) else _edge_search(g.adj, keep)
+    return None if found is None else CycleWitness(found)
 
 
 def hamilton_path(g: Graph, keep: int | None = None) -> PathWitness | None:
@@ -416,7 +434,7 @@ def hamilton_path(g: Graph, keep: int | None = None) -> PathWitness | None:
     keep = _kept(g, keep)
     if not keep & (keep - 1):
         return PathWitness((keep.bit_length() - 1,))
-    found = _spanning_path(g.adj, keep, keep, keep)
+    found = _spanning_path(g.adj, keep)
     return None if found is None else PathWitness(found)
 
 

@@ -431,47 +431,41 @@ def test_spanning_masks_edge_cases():
             solver(g, -1)
 
 
-def _path_search_refutes(g, keep):
-    """Whether `_spanning_path` alone, with neither the 2-colouring nor the
-    edge search in front of it, finds no Hamilton cycle of G[keep]."""
-    root = keep & -keep
-    a = root.bit_length() - 1
-    return walks._spanning_path(g.adj, keep, keep ^ root, g.adj[a] & keep) is None
+def _first_cycle_agrees(g, keep):
+    want = _relabelled(hamilton_cycle_reference(induced_subgraph(g, keep)), keep)
+    assert hamilton_cycle(g, keep) == want, (write_graph6(g), keep)
 
 
-def _edge_search_agrees(g, keep):
-    assert walks._no_hamilton_cycle(g.adj, keep) == _path_search_refutes(g, keep), (write_graph6(g), keep)
-
-
-def test_edge_search_matches_path_search(corpus):
-    # the edge search refutes a Hamilton cycle exactly when the path search
-    # finds none: every connected graph of order <= 8 with every 1- and
-    # 2-vertex deletion (the count pins the selection)
+def test_edge_search_finds_the_first_cycle(corpus):
+    # the edge search returns the first Hamilton cycle itself, or None:
+    # every connected graph of order <= 8 with every 1- and 2-vertex
+    # deletion (the count pins the selection)
     cases = 0
     for n in range(1, 9):
         for g in corpus[n]:
             full = g.vertex_mask
             for k in range(min(3, n)):
                 for drop in combinations(range(n), k):
-                    _edge_search_agrees(g, full ^ sum(1 << v for v in drop))
+                    _first_cycle_agrees(g, full ^ sum(1 << v for v in drop))
                     cases += 1
     assert cases == 438950
 
 
-def test_edge_search_matches_path_search_on_random_graphs():
+def test_edge_search_finds_the_first_cycle_on_random_graphs():
     # disconnected graphs and kept sets included; each graph is asked
     # whole and on a mask of random size, one or two vertices included
     rng = random.Random(223)
     for _ in range(3000):
         n = rng.randint(1, 20)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-        _edge_search_agrees(g, g.vertex_mask)
-        _edge_search_agrees(g, sum(1 << v for v in rng.sample(range(n), rng.randint(1, n))))
+        _first_cycle_agrees(g, g.vertex_mask)
+        _first_cycle_agrees(g, sum(1 << v for v in rng.sample(range(n), rng.randint(1, n))))
 
 
-def test_edge_search_matches_path_search_on_heavy_graphs():
+def test_edge_search_finds_the_first_cycle_on_heavy_graphs():
     # the heavy graphs of the certify benchmark, 8 relabellings each: the
-    # edge search refutes each graph and finds a cycle in each deletion
+    # edge search refutes each graph and finds the first cycle of each
+    # deletion
     heavy = (
         petersen(),
         generalized_petersen(11, 2),
@@ -483,13 +477,13 @@ def test_edge_search_matches_path_search_on_heavy_graphs():
     for h in heavy:
         for s in range(8):
             g = random_relabel(h, random.Random(s))
-            _edge_search_agrees(g, g.vertex_mask)
+            _first_cycle_agrees(g, g.vertex_mask)
             for v in range(g.n):
-                _edge_search_agrees(g, g.vertex_mask ^ (1 << v))
+                _first_cycle_agrees(g, g.vertex_mask ^ (1 << v))
 
 
 def test_colour_gap_refutes_before_the_edge_search():
-    # the edge search has no parity argument (K_{6,7} takes it 86,399
+    # the edge search has no parity argument (K_{6,7} takes it 85,679
     # nodes), so an unbalanced bipartite graph must never reach it
     rng = random.Random(227)
     for a, b in ((3, 5), (5, 7), (6, 7)):
@@ -497,7 +491,7 @@ def test_colour_gap_refutes_before_the_edge_search():
             g = random_relabel(complete_bipartite(a, b), rng)
             calls = code_calls(lambda: hamilton_cycle(g), walks)
             assert hamilton_cycle(g) is None
-            assert calls["_no_hamilton_cycle"] == calls["branch"] == 0, calls
+            assert calls["_edge_search"] == calls["branch"] == 0, calls
 
 
 def _longest_agree(g):
@@ -522,26 +516,26 @@ def test_longest_walks_match_reference_on_hypohamiltonian_graphs():
             _longest_agree(sub)
 
 
-# calls of the search nodes `extend` (the spanning search), `grow` (the
-# branch and bound) and `branch` (the edge search that refutes Hamilton
-# cycles), summed over the relabellings by random.Random(s) for s = 0..3:
-# circumference, then Γ(·;1) membership (which runs circumference again and
-# then one Hamilton-cycle question per deletion). A prune that goes missing
-# leaves every witness as it was, so only these counts notice it; a change
-# that moves one says so, with the old and new counts. The edge search
-# refutes each graph, so circumference runs no `extend`; each deletion of a
-# hypohamiltonian row has a Hamilton cycle, which the edge search finds and
-# `extend` then finds first. On the cubic graphs the degree rules leave the
-# edge search's connectivity rule nothing to cut; `theta_k4` (three K4s
-# between two hubs, not a member) is the row where it cuts.
+# calls of the search nodes `extend` (the spanning path search), `grow`
+# (the branch and bound) and `branch` (the edge search that answers the
+# Hamilton cycle question), summed over the relabellings by random.Random(s)
+# for s = 0..3: circumference, then Γ(·;1) membership (which runs
+# circumference again and then one Hamilton-cycle question per deletion). A
+# prune that goes missing leaves every witness as it was, so only these
+# counts notice it; a change that moves one says so, with the old and new
+# counts. No cycle question runs `extend`, so its columns read 0. On the
+# cubic graphs the degree rules leave the edge search's connectivity rule
+# nothing to cut; `theta_k4` and `theta_k5` (three K4s or K5s between two
+# hubs, not members, not 1-tough) are the rows where it cuts.
 CYCLE_WORK = {
-    "petersen": (petersen, 0, 28, 20, 320, 28, 60),
-    "gp11_2": (lambda: generalized_petersen(11, 2), 0, 165, 135, 2580, 165, 387),
-    "gp17_2": (lambda: generalized_petersen(17, 2), 0, 2684, 468, 14675, 2684, 1122),
-    "coxeter": (coxeter_graph, 0, 928, 363, 5994, 928, 838),
-    "j5": (lambda: flower_snark(5), 0, 329, 109, 2827, 329, 298),
-    "j7": (lambda: flower_snark(7), 0, 3102, 434, 11178, 3102, 855),
-    "theta_k4": (lambda: clique_theta(3, 4), 0, 1766, 53, 0, 1766, 53),
+    "petersen": (petersen, 0, 28, 20, 0, 28, 60),
+    "gp11_2": (lambda: generalized_petersen(11, 2), 0, 165, 130, 0, 165, 406),
+    "gp17_2": (lambda: generalized_petersen(17, 2), 0, 2684, 436, 0, 2684, 1153),
+    "coxeter": (coxeter_graph, 0, 928, 380, 0, 928, 892),
+    "j5": (lambda: flower_snark(5), 0, 329, 128, 0, 329, 342),
+    "j7": (lambda: flower_snark(7), 0, 3102, 470, 0, 3102, 988),
+    "theta_k4": (lambda: clique_theta(3, 4), 0, 1766, 46, 0, 1766, 46),
+    "theta_k5": (lambda: clique_theta(3, 5), 0, 14356, 578, 0, 14356, 578),
 }
 # detour_order on the same relabellings: the 2-colouring refutes the
 # spanning path, then the branch and bound climbs to n - 1
