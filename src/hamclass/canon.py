@@ -25,6 +25,21 @@ only enlarge R. At the root, an automorphism g carries the leaf whose
 order is the best order mapped by g's inverse onto the best leaf, so g
 lies in R.
 
+A search bounded by a code c (`_search` with `bound`) stops at the first
+leaf whose code is at least c, and meets one exactly when the greatest
+leaf code is at least c. Until it stops it is the full search: it
+explores each child in full before the next, and skips only a child
+that a recorded automorphism carries onto an explored sibling, whose
+subtree has the same leaf codes. So a search that never stops has met
+every leaf code of the tree, all below c. The automorphisms it records
+join leaves of equal codes, as in the full search. The generator
+compares marked codes this way: a tie u whose search bounded by v's
+marked code c meets no leaf has a smaller marked code. A leaf it stops
+at with code c has, like the best leaf of v's search, the code of the
+graph relabelled by its vertex order, which begins with the marked
+vertex; so mapping the one order onto the other is an automorphism
+carrying u onto v.
+
 Intended for the orders the generator handles (about a dozen vertices);
 everything is exact at any order the Graph type accepts, just slower.
 """
@@ -118,23 +133,32 @@ def _relabeled_rows(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
 
 
 def _search(
-    n: int, adj: tuple[int, ...], cells: Cells
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Greatest leaf code over the individualization-refinement tree, and
-    automorphisms that generate the group preserving the initial cells."""
+    n: int, adj: tuple[int, ...], cells: Cells, bound: tuple[int, ...] | None = None
+) -> tuple[tuple[int, ...] | None, list[list[int]], list[int] | None]:
+    """Greatest leaf code over the individualization-refinement tree,
+    automorphisms that generate the group preserving the initial cells,
+    and the vertex order of the leaf with that code.
+
+    With `bound`, the search stops at the first leaf whose code is at
+    least `bound` and returns that leaf's code and order instead, or None
+    for both when no leaf reaches `bound` (module docstring).
+    """
     best: tuple[int, ...] | None = None
     best_order: list[int] | None = None
     autos: list[list[int]] = []
     base: list[int] = []
+    met = False
 
     def descend(cells: Cells, uniform: set[tuple[int, ...]]) -> None:
-        nonlocal best, best_order
+        nonlocal best, best_order, met
         cells = refine(adj, cells, uniform=uniform)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
             code = _relabeled_rows(adj, order)
-            if best is None or code > best:
+            if bound is not None and code >= bound:
+                best, best_order, met = code, order, True
+            elif best is None or code > best:
                 best = code
                 best_order = order
             elif code == best:
@@ -174,10 +198,13 @@ def _search(
             # two parts of the target
             descend(head + [(v,), others] + rest, set(uniform))
             base.pop()
+            if met:
+                return
 
     descend(cells, set())
-    assert best is not None
-    return best, autos
+    if bound is not None and not met:
+        return None, autos, None
+    return best, autos, best_order
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:

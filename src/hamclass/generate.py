@@ -58,22 +58,38 @@ Let A be the attachment set, so v has degree s = |A|.
   earlier refined cell than v rejects the child. A split replaces a cell
   by its parts in place, so once a tie is split off before v it stays
   before v, and `refine` with `watch` stops at that split.
-- Ties settled by orbits. When ties share v's cell, one search from the
-  refined cells, which every automorphism preserves, gives generators of
-  Aut(child). A tie in v's orbit has v's marked code, so it needs no code
-  of its own; of each other orbit one tie is compared with v. A kept child
-  hands this group down to its own `_grow`, which then needs no search of
-  its own. The group is built only when ties survive refinement.
-- A child settled by degree or by its cell takes its group from its
-  parent. `_is_canonical` returns no group exactly then, and then no
-  other vertex ties v, so the canonical orbit is {v} and every
-  automorphism of the child fixes v. Such an automorphism restricts to an
-  automorphism of the parent that maps A onto itself, and each of those
-  extends to the child by fixing v. So Aut(child) is the stabiliser of A
-  in Aut(parent), with v fixed, and `_stabiliser` gets its generators
-  from the parent's by Schreier's lemma. Only a child with children to
-  grow needs it. A subtree root, and the one-vertex root, has no parent
-  group at hand and gets its group from `automorphism_generators`.
+- Ties settled by bounded searches. v is canonical when no tie u has
+  marked_code(u) < marked_code(v) = c, and ties in one orbit of
+  Aut(child) have equal marked codes. So the ties are compared lowest
+  first, and after each comparison the orbit of u under the automorphisms
+  known so far leaves the ties. A comparison is a search for u's marked
+  code bounded by c: it stops at its first leaf whose code is at least c,
+  and meets none exactly when marked_code(u) < c, which rejects the child
+  (see `canon`).
+- A child with children to grow needs Aut(child) anyway. One search from
+  the refined cells, which every automorphism preserves, gives generators
+  of it; the ties in v's orbit leave at once, one tie of each other orbit
+  gets a bounded search, and a kept child hands the group down to its own
+  `_grow`, which then needs no search of its own. The group is built only
+  when ties survive refinement.
+- A leaf, a child of the last order grown (n, or the split order of
+  `subtree_roots`), has no children, so it builds no group. The search
+  for c from v alone gives generators of the stabiliser of v and the
+  vertex order of a leaf with code c. A bounded search from u that stops
+  at a leaf of code c gives a second vertex order with code c, and
+  mapping the one order onto the other is an automorphism that carries u
+  onto v; it joins the known automorphisms, so the rest of u's orbit
+  leaves the ties with u.
+- A child with children to grow that was settled by degree or by its
+  cell takes its group from its parent. `_is_canonical` returns no group
+  for it exactly then, and then no other vertex ties v, so the canonical
+  orbit is {v} and every automorphism of the child fixes v. Such an
+  automorphism restricts to an automorphism of the parent that maps A
+  onto itself, and each of those extends to the child by fixing v. So
+  Aut(child) is the stabiliser of A in Aut(parent), with v fixed, and
+  `_stabiliser` gets its generators from the parent's by Schreier's
+  lemma. A subtree root, and the one-vertex root, has no parent group at
+  hand and gets its group from `automorphism_generators`.
 
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
@@ -112,7 +128,7 @@ from typing import Iterator
 
 # canonical_form is not called here; it stays bound because
 # perfbench/tracer.py wraps it in this module
-from .canon import automorphism_generators, canonical_form, marked_code, refine
+from .canon import _search, automorphism_generators, canonical_form, marked_code, refine
 from .graphs import MAX_ORDER, Graph, bits, closure_mask, mask_of, trusted_graph
 
 GENERATION_CAP = 10
@@ -130,16 +146,20 @@ def _noncutvertices(g: Graph) -> int:
     return noncut
 
 
-def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | None]:
-    """Whether the newest vertex lies in the canonical orbit, and, when the
-    test built them to settle ties, generators of Aut(child).
+def _is_canonical(
+    child: Graph, noncut: int, need_group: bool
+) -> tuple[bool, list[list[int]] | None]:
+    """Whether the newest vertex lies in the canonical orbit, and, when
+    `need_group` is set and the test built them to settle ties, generators
+    of Aut(child).
 
     `noncut` is the parent's non-cutvertex mask; the module docstring says
     why only the parent's cutvertices, and the one neighbour of a pendant
     newest vertex, need a closure here.
     """
     adj = child.adj
-    v = child.n - 1
+    n = child.n
+    v = n - 1
     dv = adj[v].bit_count()
     full = child.vertex_mask
     # the newest vertex is never a cutvertex (its parent is connected), so
@@ -160,23 +180,48 @@ def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | No
         ties |= 1 << u
     if not ties:
         return True, None
-    cells = refine(adj, [tuple(range(child.n))], (v, ties))
+    cells = refine(adj, [tuple(range(n))], (v, ties))
     if cells is None:
         return False, None
     ties &= mask_of(next(cell for cell in cells if v in cell))
     if not ties:
         return True, None
-    gens = automorphism_generators(child, cells)
-    # the orbits are sets of one-bit masks, so a sum is their union
-    ties &= ~sum(_orbit(1 << v, gens))
-    if ties:
+    if need_group:
+        gens = automorphism_generators(child, cells)
+        # the orbits are sets of one-bit masks, so a sum is their union
+        ties &= ~sum(_orbit(1 << v, gens))
+        if not ties:
+            return True, gens
         code = marked_code(child, v)
-        while ties:
-            u = (ties & -ties).bit_length() - 1
-            if marked_code(child, u) < code:
-                return False, None
-            ties &= ~sum(_orbit(1 << u, gens))
-    return True, gens
+    else:
+        # marked_code(child, v), generators of the stabiliser of v, and
+        # the vertex order of a leaf with that code
+        code, gens, best = _search(n, adj, [(v,), tuple(range(v))])
+    while ties:
+        u = (ties & -ties).bit_length() - 1
+        met, order = _bounded(child, u, code)
+        if met is None:
+            return False, None
+        if met == code and not need_group:
+            # the two leaves have equal codes, so mapping one vertex order
+            # onto the other is an automorphism, and it carries u onto v
+            gamma = [0] * n
+            for x, y in zip(order, best):
+                gamma[x] = y
+            gens.append(gamma)
+        ties &= ~sum(_orbit(1 << u, gens))
+    return True, gens if need_group else None
+
+
+def _bounded(
+    child: Graph, u: int, code: tuple[int, ...]
+) -> tuple[tuple[int, ...] | None, list[int] | None]:
+    """The code and vertex order of the first leaf of the search for
+    marked_code(child, u) whose code is at least `code`; None for both
+    when there is none, that is, when marked_code(child, u) < code."""
+    others = tuple(x for x in range(child.n) if x != u)
+    met, _, order = _search(child.n, child.adj, [(u,), others], code)
+    return met, order
 
 
 def _image(mask: int, gamma: list[int]) -> int:
@@ -320,7 +365,7 @@ def _grow(
             min_degree - d for d in map(int.bit_count, child.adj) if d < min_degree
         ):
             continue
-        kept, child_gens = _is_canonical(child, noncut)
+        kept, child_gens = _is_canonical(child, noncut, m < last)
         if kept:
             if child_gens is None and m < last:
                 child_gens = _stabiliser(gens, child.adj[-1])

@@ -94,6 +94,37 @@ def test_marked_search_automorphisms_generate_the_stabiliser(corpus):
                 assert generated_group(gens, n) == {p for p in autos if p[x] == x}
 
 
+def test_bounded_search_meets_the_bound_exactly_when_the_marked_code_does(corpus):
+    # a search from u bounded by x's marked code stops at a leaf reaching
+    # it exactly when u's marked code does; a leaf equal to it maps onto
+    # x's best leaf by an automorphism carrying u onto x
+    met_equal = 0
+    for n in range(2, 7):
+        for g in corpus[n]:
+            autos = set(brute_automorphisms(g))
+            for x in range(n):
+                code, _, best = _search(n, g.adj, [(x,), tuple(v for v in range(n) if v != x)])
+                assert code == marked_code(g, x)
+                for u in range(n):
+                    others = tuple(v for v in range(n) if v != u)
+                    met, _, order = _search(n, g.adj, [(u,), others], code)
+                    if marked_code(g, u) < code:
+                        assert met is None and order is None
+                        continue
+                    assert met >= code and order[0] == u
+                    position = [0] * n
+                    for i, a in enumerate(order):
+                        position[a] = i
+                    assert Graph(n, met) == relabel(g, position)
+                    if met == code:
+                        gamma = [0] * n
+                        for a, b in zip(order, best):
+                            gamma[a] = b
+                        assert tuple(gamma) in autos and gamma[u] == x
+                        met_equal += 1
+    assert met_equal
+
+
 def test_canonical_form_is_valid_relabeling():
     rng = random.Random(3)
     for _ in range(60):

@@ -99,6 +99,7 @@ PINNED_REPRESENTATIVES = {
     (8, 0, None): (11117, "8a41de1c403e29b117b93892cfa2f50749bc9cbb18a9897ee75adf8b696853d3"),
     (9, 3, 4): (631, "ba374d709a056992ba793ef09721f7f098c5b81cc93a973a26b63b0799a92cc3"),
     (10, 3, 3): (19, "8eadba533508c5860c2a4c1990c304132cc141d5a1c6c0b94d1c9bfc2a06f22e"),
+    (10, 4, 4): (59, "ea150ed00909db6d96677436a95bacbf00804161a54ef5da852312b5b00bba58"),
 }
 
 
@@ -145,8 +146,8 @@ def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
     is_canonical = hamclass.generate._is_canonical
     tried = []
 
-    def recording(child, noncut):
-        kept, gens = is_canonical(child, noncut)
+    def recording(child, noncut, need_group):
+        kept, gens = is_canonical(child, noncut, need_group)
         tried.append((child, kept, gens))
         return kept, gens
 
@@ -257,13 +258,15 @@ REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 
 
 # calls of _is_canonical, trusted_graph (the children built), refine,
-# marked_code, automorphism_generators and _stabiliser while generating order
-# n with every degree in [lo, hi]: a lost prune or orbit test moves them, not
-# the output
+# marked_code, automorphism_generators, _stabiliser and _bounded (the tie
+# searches that stop at a leaf reaching v's marked code) while generating
+# order n with every degree in [lo, hi]: a lost prune or orbit test moves
+# them, not the output
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 4111, 4, 377, 61),
-    (9, 3, 4): (4284, 4492, 10837, 245, 840, 788),
-    (10, 3, 3): (592, 850, 3690, 202, 279, 158),
+    (7, 0, None): (1361, 1361, 3588, 0, 82, 61, 302),
+    (9, 3, 4): (4284, 4492, 9502, 35, 508, 788, 462),
+    (10, 3, 3): (592, 850, 2521, 16, 191, 158, 190),
+    (10, 4, 4): (3152, 4614, 11610, 82, 785, 766, 948),
 }
 
 
@@ -275,7 +278,9 @@ def test_generator_work_is_pinned(n, lo, hi):
         hamclass.canon,
         trusted_graph,
     )
-    names = ("_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators", "_stabiliser")
+    names = (
+        "_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators", "_stabiliser", "_bounded"
+    )
     assert tuple(calls[name] for name in names) == GENERATOR_WORK[n, lo, hi]
 
 
