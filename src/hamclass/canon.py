@@ -212,14 +212,9 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return _search(g.n, g.adj, [tuple(range(g.n))])[0]
 
 
-def automorphism_generators(g: Graph, cells: Cells | None = None) -> list[list[int]]:
-    """Permutations (gamma[v] is the image of v) that generate Aut(g), or
-    with `cells` the automorphisms that map each cell onto itself.
-
-    The refined unit partition is invariant under Aut(g), so passed as
-    `cells` it still gives all of Aut(g).
-    """
-    return _search(g.n, g.adj, [tuple(range(g.n))] if cells is None else cells)[1]
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Permutations (gamma[v] is the image of v) that generate Aut(g)."""
+    return _search(g.n, g.adj, [tuple(range(g.n))])[1]
 
 
 def marked_code(g: Graph, x: int) -> tuple[int, ...]:

@@ -19,10 +19,11 @@ only on degrees, so the candidate sets are a union of orbits, and
 keeping v in the canonical orbit is a property of the orbit too.
 `_children` therefore yields only the first candidate of each orbit,
 which is its smallest integer mask, and the first kept sibling of each
-class is the one it keeps. The orbits come from the generators of one
-canonical search of the parent, which generate all of Aut(parent) (see
-`canon`). Children of distinct parents never collide because the
-deletion parent is determined up to isomorphism.
+class is the one it keeps. The orbits come from generators of all of
+Aut(parent): a subtree root's come from one canonical search (see
+`canon`), and any other parent's from its own tie searches or from
+`_stabiliser` (below). Children of distinct parents never collide
+because the deletion parent is determined up to isomorphism.
 
 The canonical orbit is the set of non-cutvertices minimizing
 (degree, refined cell position, marked canonical code); the first two
@@ -66,20 +67,23 @@ Let A be the attachment set, so v has degree s = |A|.
   code bounded by c: it stops at its first leaf whose code is at least c,
   and meets none exactly when marked_code(u) < c, which rejects the child
   (see `canon`).
-- A child with children to grow needs Aut(child) anyway. One search from
-  the refined cells, which every automorphism preserves, gives generators
-  of it; the ties in v's orbit leave at once, one tie of each other orbit
-  gets a bounded search, and a kept child hands the group down to its own
-  `_grow`, which then needs no search of its own. The group is built only
-  when ties survive refinement.
-- A leaf, a child of the last order grown (n, or the split order of
-  `subtree_roots`), has no children, so it builds no group. The search
-  for c from v alone gives generators of the stabiliser of v and the
-  vertex order of a leaf with code c. A bounded search from u that stops
-  at a leaf of code c gives a second vertex order with code c, and
-  mapping the one order onto the other is an automorphism that carries u
-  onto v; it joins the known automorphisms, so the rest of u's orbit
-  leaves the ties with u.
+- Aut(child) from the same searches, whenever ties survive refinement.
+  The search for c from v alone gives generators of the stabiliser of v
+  and the vertex order of a leaf with code c. A bounded search from u
+  that stops at a leaf of code c gives a second vertex order with code c,
+  and mapping the one order onto the other is an automorphism that
+  carries u onto v; it joins the known automorphisms, so the rest of u's
+  orbit leaves the ties with u. The orbit of v under Aut(child) lies in
+  v's refined cell among the non-cutvertices of v's degree, so in the
+  ties and v. Each tie of that orbit leaves with a compared tie u of the
+  same orbit, and u has marked code c, which no leaf exceeds, so u's
+  search stopped at a leaf of code c and carried u onto v. The known
+  automorphisms therefore hold the stabiliser of v and are transitive
+  on v's orbit, and by the orbit-stabiliser theorem they generate
+  Aut(child). A kept child hands them down to its own `_grow`, which
+  then needs no search of its own; a leaf, a child of the last order
+  grown (n, or the split order of `subtree_roots`), has no children and
+  drops them.
 - A child with children to grow that was settled by degree or by its
   cell takes its group from its parent. `_is_canonical` returns no group
   for it exactly then, and then no other vertex ties v, so the canonical
@@ -126,8 +130,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-# canonical_form is not called here; it stays bound because
-# perfbench/tracer.py wraps it in this module
+# canonical_form and marked_code are not called here; they stay bound
+# because perfbench/tracer.py wraps them in this module
 from .canon import _search, automorphism_generators, canonical_form, marked_code, refine
 from .graphs import MAX_ORDER, Graph, bits, closure_mask, mask_of, trusted_graph
 
@@ -146,12 +150,10 @@ def _noncutvertices(g: Graph) -> int:
     return noncut
 
 
-def _is_canonical(
-    child: Graph, noncut: int, need_group: bool
-) -> tuple[bool, list[list[int]] | None]:
-    """Whether the newest vertex lies in the canonical orbit, and, when
-    `need_group` is set and the test built them to settle ties, generators
-    of Aut(child).
+def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | None]:
+    """Whether the newest vertex lies in the canonical orbit, and, for a
+    kept child whose ties survived refinement, generators of Aut(child)
+    from the searches that settled them.
 
     `noncut` is the parent's non-cutvertex mask; the module docstring says
     why only the parent's cutvertices, and the one neighbour of a pendant
@@ -186,31 +188,24 @@ def _is_canonical(
     ties &= mask_of(next(cell for cell in cells if v in cell))
     if not ties:
         return True, None
-    if need_group:
-        gens = automorphism_generators(child, cells)
-        # the orbits are sets of one-bit masks, so a sum is their union
-        ties &= ~sum(_orbit(1 << v, gens))
-        if not ties:
-            return True, gens
-        code = marked_code(child, v)
-    else:
-        # marked_code(child, v), generators of the stabiliser of v, and
-        # the vertex order of a leaf with that code
-        code, gens, best = _search(n, adj, [(v,), tuple(range(v))])
+    # marked_code(child, v), generators of the stabiliser of v, and the
+    # vertex order of a leaf with that code
+    code, gens, best = _search(n, adj, [(v,), tuple(range(v))])
     while ties:
         u = (ties & -ties).bit_length() - 1
         met, order = _bounded(child, u, code)
         if met is None:
             return False, None
-        if met == code and not need_group:
+        if met == code:
             # the two leaves have equal codes, so mapping one vertex order
             # onto the other is an automorphism, and it carries u onto v
             gamma = [0] * n
             for x, y in zip(order, best):
                 gamma[x] = y
             gens.append(gamma)
+        # the orbits are sets of one-bit masks, so a sum is their union
         ties &= ~sum(_orbit(1 << u, gens))
-    return True, gens if need_group else None
+    return True, gens
 
 
 def _bounded(
@@ -365,7 +360,7 @@ def _grow(
             min_degree - d for d in map(int.bit_count, child.adj) if d < min_degree
         ):
             continue
-        kept, child_gens = _is_canonical(child, noncut, m < last)
+        kept, child_gens = _is_canonical(child, noncut)
         if kept:
             if child_gens is None and m < last:
                 child_gens = _stabiliser(gens, child.adj[-1])

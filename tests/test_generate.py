@@ -142,12 +142,13 @@ def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
 def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
     # every child the tree tries: the fast test keeps it exactly when the
     # reference finds its newest vertex in the canonical orbit, and a group
-    # it hands down has the orbits of Aut(child)
+    # it returns, leaf or not, is Aut(child) (checked in full up to order 6,
+    # by its orbits at order 7)
     is_canonical = hamclass.generate._is_canonical
     tried = []
 
-    def recording(child, noncut, need_group):
-        kept, gens = is_canonical(child, noncut, need_group)
+    def recording(child, noncut):
+        kept, gens = is_canonical(child, noncut)
         tried.append((child, kept, gens))
         return kept, gens
 
@@ -160,7 +161,9 @@ def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
         if gens is not None:
             assert kept
             grouped += 1
-            if child.n <= 7:
+            if child.n <= 6:
+                assert generated_group(gens, child.n) == set(brute_automorphisms(child))
+            elif child.n == 7:
                 orbits = {frozenset(_orbit(1 << v, gens)) for v in range(child.n)}
                 assert orbits == {frozenset(1 << v for v in o) for o in brute_orbits(child)}
     assert grouped or n < 4
@@ -261,12 +264,13 @@ REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 # marked_code, automorphism_generators, _stabiliser and _bounded (the tie
 # searches that stop at a leaf reaching v's marked code) while generating
 # order n with every degree in [lo, hi]: a lost prune or orbit test moves
-# them, not the output
+# them, not the output. marked_code reads 0 because the tie searches find
+# v's code themselves; a call that comes back shows there
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 3588, 0, 82, 61, 302),
-    (9, 3, 4): (4284, 4492, 9502, 35, 508, 788, 462),
-    (10, 3, 3): (592, 850, 2521, 16, 191, 158, 190),
-    (10, 4, 4): (3152, 4614, 11610, 82, 785, 766, 948),
+    (7, 0, None): (1361, 1361, 3443, 0, 7, 61, 382),
+    (9, 3, 4): (4284, 4492, 8641, 0, 79, 788, 898),
+    (10, 3, 3): (592, 850, 2186, 0, 65, 158, 317),
+    (10, 4, 4): (3152, 4614, 10036, 0, 316, 766, 1408),
 }
 
 
