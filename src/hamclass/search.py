@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, as_completed, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -344,24 +345,22 @@ class RecordReader:
 
 def _decide_chunk(
     graphs: Iterable[Graph], params: ClassParams, rules: frozenset[str]
-) -> tuple[dict[str, int], int, list[str]]:
-    counts: dict[str, int] = {}
-    decided = 0
+) -> tuple[Counter[str], list[str]]:
+    """One unit's report: a tally of each graph under the rule that pruned
+    it or under "decided", and the graph6 records of the members, in order."""
+    tally: Counter[str] = Counter()
     members = []
     for g in graphs:
         rule = first_violated_rule(g, params, rules)
-        if rule is not None:
-            counts[rule] = counts.get(rule, 0) + 1
-            continue
-        decided += 1
-        if membership(g, params).member:
+        tally[rule or "decided"] += 1
+        if rule is None and membership(g, params).member:
             members.append(write_graph6(g))
-    return counts, decided, members
+    return tally, members
 
 
 def _decide_subtrees(
     roots: list[Graph], n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
-) -> tuple[dict[str, int], int, list[str]]:
+) -> tuple[Counter[str], list[str]]:
     """`_decide_chunk` over the graphs generated below `roots`, in order."""
     graphs = (g for r in roots for g in generate_connected(n, max_degree=cap, min_degree=floor, root=r))
     return _decide_chunk(graphs, params, rules)
@@ -369,7 +368,7 @@ def _decide_subtrees(
 
 def _chunk_reports(
     pool: Executor | None, depth: int, task: Callable, units: Iterable, *args: object
-) -> Iterator[tuple[dict[str, int], int, list[str]]]:
+) -> Iterator[tuple[Counter[str], list[str]]]:
     """`task(unit, *args)` for each unit: in this process, in order, without
     a pool, else with at most `depth` units in flight, each report yielded
     as soon as its unit is done, so that one long unit does not hold back
@@ -404,9 +403,10 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     With two units a pool can overlap at most one unit with the other,
     and its fixed costs (forking every worker at the first submit,
     parsing the first chunk before that submit, the first result's round
-    trip, shutdown) exceed one light 256-record unit. Unit reports merge
-    commutatively and members_found is sorted, making the report
-    independent of where and in what order the units ran.
+    trip, shutdown) exceed one light 256-record unit. A unit reports a
+    `Counter` tally and its members (`_decide_chunk`); tallies add and
+    members_found is sorted, so unit reports merge in any order and the
+    report is independent of where the units ran.
     """
     start = time.perf_counter()
     reader = None
@@ -428,8 +428,7 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
         task = _decide_subtrees
         args = (spec.n, floor, cap, spec.params, spec.prune_rules)
 
-    pruned = {rule: 0 for rule in RULE_ORDER if rule in spec.prune_rules}
-    decided = 0
+    tally: Counter[str] = Counter()
     members: list[str] = []
     processes = min(workers, os.cpu_count() or 1)
     # a pool pays off only from three units (see the docstring for why)
@@ -437,14 +436,12 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     units = chain(head, units)
     parallel = processes > 1 and len(head) > 2
     with ProcessPoolExecutor(max_workers=processes) if parallel else nullcontext() as pool:
-        for unit_counts, unit_decided, unit_members in _chunk_reports(
-            pool, 2 * processes, task, units, *args
-        ):
-            for rule, c in unit_counts.items():
-                pruned[rule] += c
-            decided += unit_decided
+        for unit_tally, unit_members in _chunk_reports(pool, 2 * processes, task, units, *args):
+            tally += unit_tally
             members.extend(unit_members)
     wall = time.perf_counter() - start
+    pruned = {rule: tally[rule] for rule in RULE_ORDER if rule in spec.prune_rules}
+    decided = tally["decided"]
     total = sum(pruned.values()) + decided
     skipped = 0 if reader is None else reader.skipped
     return EmptinessReport(spec, total, pruned, decided, tuple(sorted(members)), wall, skipped)

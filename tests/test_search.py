@@ -5,6 +5,7 @@ import logging
 import os
 import threading
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Executor, Future
 
 import pytest
@@ -128,6 +129,25 @@ def test_scan_stream_attribution():
     assert report.pruned_per_rule["max_degree"] == 1
     assert report.fully_decided == 2
     assert report.members_found == (write_graph6(petersen()),)
+
+
+def test_unit_tally_counts_each_graph_once():
+    k5s = [(s + i, s + j) for s in (0, 5) for i in range(5) for j in range(i + 1, 5)]
+    wheel = [(0, v) for v in range(1, 10)] + [(v, v % 9 + 1) for v in range(1, 10)]
+    graphs = [
+        petersen(),  # decided, a member
+        cycle_graph(10),  # min_degree
+        Graph.from_edges(10, k5s + [(0, 5), (1, 6)]),  # connectivity
+        complete_bipartite(5, 5),  # decided, Hamiltonian
+        Graph.from_edges(10, wheel),  # max_degree: the hub has degree 9
+    ]
+    tally, members = search._decide_chunk(graphs, G1, DEFAULT_RULES)
+    assert isinstance(tally, Counter)
+    assert tally == {"decided": 2, "min_degree": 1, "connectivity": 1, "max_degree": 1}
+    assert members == ["I?LRCecq?"]
+    tally, members = search._decide_chunk(graphs, G1, frozenset())
+    assert tally == {"decided": 5}
+    assert members == ["I?LRCecq?"]
 
 
 def test_scan_stream_skips_bad_records(caplog):
