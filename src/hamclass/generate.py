@@ -182,7 +182,12 @@ def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | No
         ties |= 1 << u
     if not ties:
         return True, None
-    cells = refine(adj, [tuple(range(n))], (v, ties))
+    # the unit partition's first split gives these cells of equal degree,
+    # and every tie has v's degree, so the watch could not fire there
+    by_degree: dict[int, list[int]] = {}
+    for x in range(n):
+        by_degree.setdefault(adj[x].bit_count(), []).append(x)
+    cells = refine(adj, [tuple(by_degree[d]) for d in sorted(by_degree)], (v, ties))
     if cells is None:
         return False, None
     ties &= mask_of(next(cell for cell in cells if v in cell))

@@ -27,6 +27,8 @@ from .graphs import Graph, degree_profile, induced_subgraph, mask_of, vertex_con
 from .walks import (
     CycleWitness,
     PathWitness,
+    _longest,
+    _seed_cycle,
     circumference,
     detour_order,
     hamilton_cycle,
@@ -87,24 +89,47 @@ def target_length(n: int, params: ClassParams) -> int:
 def membership(g: Graph, params: ClassParams, *, collect_walks: bool = False) -> MembershipVerdict:
     """Decide class membership at level params.k.
 
-    The longest walk is compared first; deletion sets are then tried in
-    lexicographic order and the first failure is reported, so refutations
-    are reproducible.
+    At k >= 2 the longest walk is compared with n - k first. At k = 1 only
+    the spanning question is asked first, as `circumference` /
+    `detour_order` ask it: once it fails, no walk has more than n - 1
+    vertices, and a spanning walk of any G - v has that many. So the
+    branch and bound that climbs to n - 1 runs only when G - 0 fails, and
+    its walk tells a bad set (0,) from a wrong length. Deletion sets are
+    tried in lexicographic order and the first failure is reported, so
+    refutations are reproducible; every verdict is the one that comparing
+    the longest walk first gives.
     """
-    target = target_length(g.n, params)
+    n = g.n
+    target = target_length(n, params)
     # picked from the module globals on every call, never from a table built
     # at import time, so a solver rebound after import (tracing) is the one run
-    if params.kind is ClassKind.GAMMA:
+    gamma = params.kind is ClassKind.GAMMA
+    if gamma:
         longest, spanning = circumference, hamilton_cycle
     else:
         longest, spanning = detour_order, hamilton_path
-    length, best = longest(g)
-    if length != target:
-        return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
+    if params.k > 1:
+        length, best = longest(g)
+        if length != target:
+            return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
+    else:
+        seed = _seed_cycle(g) if gamma else None
+        if gamma and seed is None:
+            return MembershipVerdict(False, WRONG_LENGTH, 0, None, None, None)
+        whole = seed if seed is not None and seed.order == n else spanning(g)
+        if whole is not None:
+            return MembershipVerdict(False, WRONG_LENGTH, n, None, whole, None)
     walks: list[CycleWitness | PathWitness] | None = [] if collect_walks else None
-    for drop in combinations(range(g.n), params.k):
+    for drop in combinations(range(n), params.k):
         walk = spanning(g, g.vertex_mask ^ mask_of(drop))
         if walk is None:
+            if drop == (0,):
+                # no deletion has shown an (n - 1)-walk yet: climb to one
+                start = seed.vertices if seed is not None else (0,)
+                length, found = _longest(g, len(start), start, gamma)
+                if length != target:
+                    best = CycleWitness(found) if gamma else PathWitness(found)
+                    return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
             return MembershipVerdict(False, BAD_DELETION_SET, None, drop, None, None)
         if walks is not None:
             walks.append(walk)

@@ -78,6 +78,30 @@ def test_watched_refine_matches_reference():
     assert rejected > 500
 
 
+def test_refine_from_degree_cells_matches_unit_start():
+    # the unit partition's first split gives the cells of equal degree, in
+    # ascending degree and label, and a tie of v has v's degree; so both
+    # starts end alike, watched or not (generate._is_canonical starts from
+    # the degree cells)
+    rng = random.Random(47)
+    rejected = 0
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        degree = [row.bit_count() for row in g.adj]
+        cells = [
+            tuple(u for u in range(n) if degree[u] == d) for d in sorted(set(degree))
+        ]
+        v = rng.randrange(n)
+        ties = sum(1 << u for u in range(n) if u != v and degree[u] == degree[v] and rng.random() < 0.6)
+        unit = [tuple(range(n))]
+        assert refine(g.adj, cells) == refine(g.adj, unit)
+        got = refine(g.adj, cells, (v, ties))
+        assert got == refine(g.adj, unit, (v, ties))
+        rejected += got is None
+    assert rejected > 300
+
+
 def test_recorded_automorphisms_generate_the_group(corpus):
     for n in range(1, 8):
         for g in corpus[n]:

@@ -23,14 +23,22 @@ from hamclass.walks import check_witness, is_cycle_in, is_path_in
 from util import (
     brute_longest_induced_path_from,
     check_induced_path_property,
+    clique_theta,
+    complete_bipartite,
     complete_graph,
+    coxeter_graph,
     cycle_graph,
+    flower_snark,
+    generalized_petersen,
     hypohamiltonian_direct,
     hypotraceable_direct,
     is_hypohamiltonian,
     is_hypotraceable,
+    membership_reference,
     path_graph,
     random_connected_graph,
+    random_graph,
+    random_relabel,
 )
 
 GAMMA = ClassKind.GAMMA
@@ -87,6 +95,72 @@ def test_claw_fails_on_center_deletion():
     assert not v.member
     assert v.reason == BAD_DELETION_SET and v.bad_set == (3,)
     assert not is_hypotraceable(claw)
+
+
+def _level_one_agrees(g):
+    # the certificate fields, deletion walks included, for both classes
+    for kind in (GAMMA, PI):
+        params = ClassParams(1, kind)
+        if g.n - 1 < (3 if kind is GAMMA else 1):
+            continue
+        got = membership(g, params, collect_walks=True)
+        assert got == membership_reference(g, params, collect_walks=True), (kind, g.adj)
+
+
+def test_level_one_matches_longest_walk_first(corpus):
+    # at k = 1 the deletion loop proves the length n - 1; every verdict,
+    # bad set, length, witness and deletion walk must be the one that
+    # running the longest walk first gives
+    for n in range(1, 9):
+        for g in corpus[n]:
+            _level_one_agrees(g)
+    rng = random.Random(233)
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        _level_one_agrees(random_graph(rng, n, rng.uniform(0.1, 0.6)))
+
+
+def test_level_one_matches_longest_walk_first_on_heavy_graphs():
+    # members, and single-edge deletions, whose bad set comes after a pass
+    # or whose G - 0 already fails
+    heavy = (
+        petersen(),
+        generalized_petersen(11, 2),
+        generalized_petersen(17, 2),
+        flower_snark(5),
+        flower_snark(7),
+        coxeter_graph(),
+    )
+    rng = random.Random(239)
+    for h in heavy:
+        for _ in range(4):
+            _level_one_agrees(random_relabel(h, rng))
+        edges = random_relabel(h, rng).edges()
+        for e in edges:
+            _level_one_agrees(Graph.from_edges(h.n, [f for f in edges if f != e]))
+
+
+def test_level_one_branches():
+    # one graph per branch of the k = 1 decider
+    pendant = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    gp = generalized_petersen(11, 2, drop=[(0, 1)])
+    cases = [
+        # G - 0 fails and c(G) = n - 1: the climb gives the bad set (0,)
+        (pendant, GAMMA, BAD_DELETION_SET, None, (0,)),
+        (complete_bipartite(3, 5), PI, BAD_DELETION_SET, None, (0,)),
+        # G - 0 fails and the climb stops short of n - 1
+        (complete_bipartite(3, 5), GAMMA, WRONG_LENGTH, 6, None),
+        (clique_theta(3, 4), GAMMA, WRONG_LENGTH, 10, None),
+        # G - 0 passes and a later deletion fails
+        (gp, GAMMA, BAD_DELETION_SET, None, (2,)),
+        # no seed cycle
+        (path_graph(5), GAMMA, WRONG_LENGTH, 0, None),
+    ]
+    for g, kind, reason, length, bad in cases:
+        params = ClassParams(1, kind)
+        got = membership(g, params, collect_walks=True)
+        assert (got.reason, got.found_length, got.bad_set) == (reason, length, bad), g.adj
+        assert got == membership_reference(g, params, collect_walks=True)
 
 
 def test_membership_dispatch():

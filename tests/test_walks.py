@@ -519,29 +519,34 @@ def test_longest_walks_match_reference_on_hypohamiltonian_graphs():
 # calls of the search nodes `extend` (the spanning path search), `grow`
 # (the branch and bound) and `branch` (the edge search that answers the
 # Hamilton cycle question), summed over the relabellings by random.Random(s)
-# for s = 0..3: circumference, then Γ(·;1) membership (which runs
-# circumference again and then one Hamilton-cycle question per deletion). A
-# prune that goes missing leaves every witness as it was, so only these
-# counts notice it; a change that moves one says so, with the old and new
-# counts. No cycle question runs `extend`, so its columns read 0. On the
-# cubic graphs the degree rules leave the edge search's connectivity rule
-# nothing to cut; `theta_k4` and `theta_k5` (three K4s or K5s between two
-# hubs, not members, not 1-tough) are the rows where it cuts.
+# for s = 0..3: circumference, then Γ(·;1) membership (which asks the
+# Hamilton-cycle question of G and of each deletion, and climbs to n - 1
+# only when G - 0 has no Hamilton cycle). A prune that goes missing leaves
+# every witness as it was, so only these counts notice it; a change that
+# moves one says so, with the old and new counts. No cycle question runs
+# `extend`, so its columns read 0. A member's deletions prove its length,
+# so its membership `grow` column reads 0. On the cubic graphs the degree
+# rules leave the edge search's connectivity rule nothing to cut;
+# `theta_k4` and `theta_k5` (three K4s or K5s between two hubs, not
+# members, not 1-tough) are the rows where it cuts, and where G - 0 fails,
+# so membership climbs as circumference does.
 CYCLE_WORK = {
-    "petersen": (petersen, 0, 28, 20, 0, 28, 60),
-    "gp11_2": (lambda: generalized_petersen(11, 2), 0, 165, 130, 0, 165, 406),
-    "gp17_2": (lambda: generalized_petersen(17, 2), 0, 2684, 436, 0, 2684, 1153),
-    "coxeter": (coxeter_graph, 0, 928, 380, 0, 928, 892),
-    "j5": (lambda: flower_snark(5), 0, 329, 128, 0, 329, 342),
-    "j7": (lambda: flower_snark(7), 0, 3102, 470, 0, 3102, 988),
-    "theta_k4": (lambda: clique_theta(3, 4), 0, 1766, 46, 0, 1766, 46),
-    "theta_k5": (lambda: clique_theta(3, 5), 0, 14356, 578, 0, 14356, 578),
+    "petersen": (petersen, 0, 28, 20, 0, 0, 60),
+    "gp11_2": (lambda: generalized_petersen(11, 2), 0, 165, 130, 0, 0, 406),
+    "gp17_2": (lambda: generalized_petersen(17, 2), 0, 2684, 436, 0, 0, 1153),
+    "coxeter": (coxeter_graph, 0, 928, 380, 0, 0, 892),
+    "j5": (lambda: flower_snark(5), 0, 329, 128, 0, 0, 342),
+    "j7": (lambda: flower_snark(7), 0, 3102, 470, 0, 0, 988),
+    "theta_k4": (lambda: clique_theta(3, 4), 0, 1766, 46, 0, 1766, 54),
+    "theta_k5": (lambda: clique_theta(3, 5), 0, 14356, 578, 0, 14356, 851),
 }
-# detour_order on the same relabellings: the 2-colouring refutes the
-# spanning path, then the branch and bound climbs to n - 1
+# `extend` and `grow` on the same relabellings: detour_order, where the
+# 2-colouring refutes the spanning path and the branch and bound climbs to
+# n - 1, then Π(·;1) membership, which climbs as detour_order does only
+# where G - 0 has no Hamilton path either (0 on the smaller side)
 PATH_WORK = {
-    "k3_5": (lambda: complete_bipartite(3, 5), 392, 244),
-    "k5_7": (lambda: complete_bipartite(5, 7), 191568, 327248),
+    "k3_5": (lambda: complete_bipartite(3, 5), 392, 244, 545, 223),
+    "k5_7": (lambda: complete_bipartite(5, 7), 191568, 327248, 218933, 327226),
 }
 
 
@@ -567,10 +572,15 @@ def test_cycle_work_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(PATH_WORK))
 def test_path_work_is_pinned(name):
     make, *want = PATH_WORK[name]
-    calls = Counter()
+    params = ClassParams(1, ClassKind.PI)
+    longest = Counter()
+    decided = Counter()
     for g in _relabellings(make):
-        calls += code_calls(lambda: detour_order(g), walks)
-    assert [calls["extend"], calls["grow"]] == want
+        longest += code_calls(lambda: detour_order(g), walks)
+        decided += code_calls(lambda: membership(g, params), walks)
+    got = [longest[node] for node in ("extend", "grow")]
+    got += [decided[node] for node in ("extend", "grow")]
+    assert got == want
 
 
 @settings(max_examples=80, deadline=None)

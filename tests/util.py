@@ -25,12 +25,22 @@ from hamclass.graphs import (
     trusted_graph,
     write_graph6,
 )
-from hamclass.membership import ClassKind, ClassParams, membership
+from hamclass.membership import (
+    BAD_DELETION_SET,
+    WRONG_LENGTH,
+    ClassKind,
+    ClassParams,
+    MembershipVerdict,
+    membership,
+    target_length,
+)
 from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
     check_witness,
+    circumference,
+    detour_order,
     hamilton_cycle,
     hamilton_path,
     is_cycle_in,
@@ -916,6 +926,29 @@ def consecutive_neighbor_check(cfg: AttachmentConfig) -> CycleWitness | PathWitn
     w = type(cfg.spine)(verts)
     check_witness(cfg.graph, w)
     return w
+
+
+def membership_reference(
+    g: Graph, params: ClassParams, *, collect_walks: bool = False
+) -> MembershipVerdict:
+    """`membership` as it was before k = 1 left the length to the deletion
+    loop: the longest walk first, then every deletion set in lexicographic
+    order. Its verdict is what `membership` must return at every k."""
+    target = target_length(g.n, params)
+    if params.kind is ClassKind.GAMMA:
+        longest, spanning = circumference, hamilton_cycle
+    else:
+        longest, spanning = detour_order, hamilton_path
+    length, best = longest(g)
+    if length != target:
+        return MembershipVerdict(False, WRONG_LENGTH, length, None, best, None)
+    walks = []
+    for drop in combinations(range(g.n), params.k):
+        walk = spanning(g, g.vertex_mask ^ mask_of(drop))
+        if walk is None:
+            return MembershipVerdict(False, BAD_DELETION_SET, None, drop, None, None)
+        walks.append(walk)
+    return MembershipVerdict(True, None, target, None, None, tuple(walks) if collect_walks else None)
 
 
 def is_hypohamiltonian(g: Graph) -> bool:
