@@ -21,12 +21,16 @@ cut of fewer than t vertices in one packed closure. The vertex set each
 cut leaves sits in its own n-bit lane of one integer, lanes ordered by
 cut size and, within a size, in the order `itertools.combinations`
 gives, and one breadth-first search grows all lanes at once, n shifts
-and multiplies per round whatever the lane count. A lane left with
-unreached vertices is cut apart, so the smallest cut is the stored size
-of the lowest such lane. Blocks of `_LANE_BLOCK` lanes bound the
-integers. Each (n, t) keeps one cached sequence of blocks, taken in
-order from one lazy stream of cuts: a block is built when a call first
-reaches it, so none is built past the one that answers.
+and multiplies per round whatever the lane count. Each lane starts from
+the lowest vertex its cut leaves, which is at most the cut's size, so the
+first round is one multiply per seed vertex, by the block's stored column
+of the lanes it seeds. The search stops once every lane is reached or no
+lane grows. A lane left with unreached vertices is cut apart, so the
+smallest cut is the stored size of the lowest such lane. Blocks of
+`_LANE_BLOCK` lanes bound the integers. Each (n, t) keeps one cached
+sequence of blocks, taken in order from one lazy stream of cuts: a block
+is built when a call first reaches it, so none is built past the one
+that answers.
 """
 
 from __future__ import annotations
@@ -380,8 +384,12 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
 _LANE_BLOCK = 1024
 
 
+# (rests, seeds, ones, sizes, seed columns): see _lane_block
+_LaneBlock = tuple[int, int, int, bytes, tuple[tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=None)
-def _lane_blocks(n: int, t: int) -> tuple[list[tuple[int, int, int, bytes]], Iterator[tuple[int, ...]]]:
+def _lane_blocks(n: int, t: int) -> tuple[list[_LaneBlock], Iterator[tuple[int, ...]]]:
     """The blocks of (n, t) built so far, and the cuts not yet in a block.
 
     The cuts of fewer than t of the n vertices, each a tuple of vertex
@@ -393,20 +401,25 @@ def _lane_blocks(n: int, t: int) -> tuple[list[tuple[int, int, int, bytes]], Ite
     return [], chain.from_iterable(combinations(vertex_bits, s) for s in range(t))
 
 
-def _lane_block(cuts: list[tuple[int, ...]], n: int) -> tuple[int, int, int, bytes]:
-    """(rests, seeds, ones, sizes) for one block of cuts.
+def _lane_block(cuts: list[tuple[int, ...]], n: int) -> _LaneBlock:
+    """(rests, seeds, ones, sizes, seed columns) for one block of cuts.
 
     Lane i holds bits i*n .. i*n + n-1: of `rests`, the vertices cut i
     leaves; of `seeds`, the lowest of them; of `ones`, bit 0 only.
-    `sizes[i]` is the size of cut i.
+    `sizes[i]` is the size of cut i. The seed columns pair each vertex v
+    that seeds some lane with the lanes it seeds, as bit 0 of each: the
+    part of `ones` under which `seeds` holds v.
     """
     full = (1 << n) - 1
     rests = [full ^ sum(cut) for cut in cuts]
+    lows = [rest & -rest for rest in rests]
+    seed_vertices = sorted({low.bit_length() - 1 for low in lows})
     return (
         _pack(rests, n),
-        _pack([rest & -rest for rest in rests], n),
+        _pack(lows, n),
         _pack([1] * len(cuts), n),
         bytes(map(len, cuts)),
+        tuple((v, _pack([low >> v & 1 for low in lows], n)) for v in seed_vertices),
     )
 
 
@@ -437,11 +450,17 @@ def _connectivity_below(g: Graph, t: int) -> int:
                 # the chunk's cuts are spent, so (n, t) must start afresh
                 _lane_blocks.cache_clear()
                 raise
-        rests, frontier, ones, sizes = blocks[block]
+        rests, seeds, ones, sizes, seed_columns = blocks[block]
         # the vertices of each lane's rest that its closure has not
         # reached; a lane that ends with any left is cut apart
-        unseen = rests ^ frontier
-        while frontier:
+        unseen = rests ^ seeds
+        # the first round: each lane's frontier is its seed alone
+        grown = 0
+        for v, col in seed_columns:
+            grown |= col * adj[v]
+        frontier = grown & unseen
+        unseen ^= frontier
+        while frontier and unseen:
             grown = 0
             for v in range(n):
                 col = frontier >> v & ones

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import floor
 from typing import Iterator
 
-# induced_subgraph is not called here; it stays bound because
-# perfbench/tracer.py wraps it in this module
+# degree_profile and induced_subgraph are not called here; they stay
+# bound because perfbench/tracer.py wraps them in this module
 from .graphs import Graph, degree_profile, induced_subgraph, mask_of, vertex_connectivity
 from .walks import (
     CycleWitness,
@@ -176,18 +177,23 @@ def parameter_emptiness(n: int, params: ClassParams) -> bool:
     return theorem_max_degree(n, params) < required_connectivity(params)
 
 
-def degree_ceilings(n: int, params: ClassParams, rules: frozenset[str]) -> list[tuple[str, int]]:
+@lru_cache(maxsize=None)
+def degree_ceilings(n: int, params: ClassParams, rules: frozenset[str]) -> tuple[tuple[str, int], ...]:
     """(rule, largest maximum degree it allows) for each enabled rule that
     caps degrees, in rule order. The classical (n-4)/2 ceiling applies to
-    hypohamiltonian graphs only, so only to the cycle class at k=1."""
+    hypohamiltonian graphs only, so only to the cycle class at k=1.
+
+    Cached, so `rules` must be hashable: a scan asks it once per graph
+    with the same arguments."""
     caps = []
     if "max_degree" in rules:
         caps.append(("max_degree", floor(theorem_max_degree(n, params))))
     if "holton_sheehan" in rules and params.kind is ClassKind.GAMMA and params.k == 1:
         caps.append(("holton_sheehan", (n - 4) // 2))
-    return caps
+    return tuple(caps)
 
 
+@lru_cache(maxsize=None)
 def _order_threshold_fires(n: int, params: ClassParams, rules: frozenset[str]) -> bool:
     return "order_threshold" in rules and params.k >= 2 and parameter_emptiness(n, params)
 
@@ -202,6 +208,7 @@ def degree_window(n: int, params: ClassParams, rules: frozenset[str]) -> tuple[i
     prunes the whole order, so that order_threshold keeps the attribution
     of the ceiling-respecting graphs.
     """
+    rules = frozenset(rules)
     ceiling = min((cap for _, cap in degree_ceilings(n, params, rules)), default=None)
     floor_needed = required_connectivity(params) if "min_degree" in rules else 0
     if _order_threshold_fires(n, params, rules) or (ceiling is not None and floor_needed > ceiling):
@@ -215,19 +222,25 @@ def violated_rules(g: Graph, params: ClassParams, rules: frozenset[str]) -> Iter
     Lazy: a caller that stops at the first rule pays for no later one. The
     order threshold is a parameter-only fact and carries no claim at k=1,
     where members below any classical bound are ruled out by search rather
-    than by formula.
+    than by formula. The degree rules read the least and greatest row
+    popcounts of g; the ceilings come from the cache of `degree_ceilings`.
     """
+    # the cached rule constants need a hashable key; frozenset() hands a
+    # frozenset back as it is, so the scan's own rules cost nothing here
+    rules = frozenset(rules)
     n = g.n
     if _order_threshold_fires(n, params, rules):
         yield "order_threshold"
-    floor_needed = required_connectivity(params)
+    check_floor = "min_degree" in rules
     ceilings = degree_ceilings(n, params, rules)
-    if "min_degree" in rules or ceilings:
-        prof = degree_profile(g)
-        if "min_degree" in rules and prof.min_degree < floor_needed:
+    if check_floor or ceilings:
+        degrees = [row.bit_count() for row in g.adj]
+        if check_floor and min(degrees) < required_connectivity(params):
             yield "min_degree"
-        for rule, cap in ceilings:
-            if prof.max_degree > cap:
-                yield rule
+        if ceilings:
+            top = max(degrees)
+            for rule, cap in ceilings:
+                if top > cap:
+                    yield rule
     if "connectivity" in rules and not connectivity_requirement(g, params):
         yield "connectivity"

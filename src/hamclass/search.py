@@ -27,8 +27,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .generate import GENERATION_CAP, generate_connected, subtree_roots
-# degree_profile and vertex_connectivity are called from .membership, and
-# induced_subgraph is not called at all; they stay bound here because
+# vertex_connectivity is called from .membership, and degree_profile and
+# induced_subgraph are not called at all; they stay bound here because
 # perfbench/tracer.py wraps them in this module
 from .graphs import (
     GRAPH6_HEADER,

@@ -443,29 +443,32 @@ def hamilton_path(g: Graph, keep: int | None = None) -> PathWitness | None:
 
 
 def _dfs_cycle(g: Graph) -> list[int] | None:
-    """The cycle of the first DFS back edge. `chain` is the active DFS path,
-    and a visited neighbour of v other than its parent is on it: had that
-    neighbour finished, it would have visited v itself."""
+    """The cycle of the first DFS back edge. `chain` is the active DFS path
+    and `todo[i]` the neighbours chain[i] has still to try, its parent
+    left out. A visited one is on the chain: had it finished, it would
+    have visited chain[i] itself."""
     adj = g.adj
     seen = 0
-    chain: list[int] = []
-
-    def dfs(v: int, parent: int) -> list[int] | None:
-        nonlocal seen
-        seen |= 1 << v
-        chain.append(v)
-        for u in bits(adj[v]):
-            if seen >> u & 1:
-                if u != parent:
-                    return chain[chain.index(u) :]
-            elif (cyc := dfs(u, v)) is not None:
-                return cyc
-        chain.pop()
-        return None
-
     for root in range(g.n):
-        if not seen >> root & 1 and (cyc := dfs(root, -1)) is not None:
-            return cyc
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        chain = [root]
+        todo = [adj[root]]
+        while chain:
+            rest = todo[-1]
+            if not rest:
+                chain.pop()
+                todo.pop()
+                continue
+            low = rest & -rest
+            todo[-1] = rest ^ low
+            u = low.bit_length() - 1
+            if seen & low:
+                return chain[chain.index(u) :]
+            seen |= low
+            todo.append(adj[u] ^ 1 << chain[-1])
+            chain.append(u)
     return None
 
 

@@ -23,6 +23,7 @@ from hamclass.graphs import (
 )
 from util import (
     brute_connectivity,
+    code_calls,
     complete_bipartite,
     complete_graph,
     connectivity_below_reference,
@@ -296,13 +297,21 @@ def test_lane_blocks_hold_every_cut_once_by_size(monkeypatch):
                 blocks, cuts = graphs._lane_blocks(n, t)
                 assert next(cuts, None) is None
                 got, sizes = [], []
-                for rests, seeds, ones, block_sizes in blocks:
+                for rests, seeds, ones, block_sizes, seed_columns in blocks:
                     count = len(block_sizes)
                     assert 0 < count <= 7
                     lanes = _unpack(rests, n, count)
                     assert rests >> (count * n) == 0
-                    assert _unpack(seeds, n, count) == [rest & -rest for rest in lanes]
+                    lows = _unpack(seeds, n, count)
+                    assert lows == [rest & -rest for rest in lanes]
                     assert _unpack(ones, n, count) == [1] * count
+                    # each first-round column holds exactly the lanes
+                    # seeded by its vertex, and every lane has one
+                    seeders = [v for v, _ in seed_columns]
+                    assert seeders == sorted({low.bit_length() - 1 for low in lows})
+                    for v, col in seed_columns:
+                        assert _unpack(col, n, count) == [int(low == 1 << v) for low in lows]
+                    assert sum(col for _, col in seed_columns) == ones
                     assert list(block_sizes) == [n - rest.bit_count() for rest in lanes]
                     got += lanes
                     sizes += block_sizes
@@ -336,6 +345,26 @@ def test_lane_blocks_are_built_only_when_reached(monkeypatch):
         assert len(blocks) == 2 and blocks[0] is first
     finally:
         graphs._lane_blocks.cache_clear()
+
+
+def test_lane_blocks_are_built_once_per_order():
+    # the floor test at t = 3 of C_n(1,2)-plus-chords records of orders 12,
+    # 14 and 16: 1 + n + C(n, 2) cuts fit in one block, built by the first
+    # record of each order and reused by the rest
+    rng = random.Random(181)
+    records = []
+    for n in (12, 14, 16):
+        ring = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+        chords = [p for p in combinations(range(n), 2) if p not in ring and p[::-1] not in ring]
+        for _ in range(8):
+            records.append(random_relabel(Graph.from_edges(n, ring + rng.sample(chords, n // 2)), rng))
+    graphs._lane_blocks.cache_clear()
+    try:
+        calls = code_calls(lambda: [vertex_connectivity(g, at_most=3) for g in records], graphs)
+    finally:
+        graphs._lane_blocks.cache_clear()
+    assert calls["_connectivity_below"] == len(records)
+    assert calls["_lane_block"] == 3
 
 
 def test_interrupted_lane_block_build_is_not_kept(monkeypatch):

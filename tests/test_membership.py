@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,8 @@ from hamclass.membership import (
     ClassKind,
     ClassParams,
     connectivity_requirement,
+    degree_ceilings,
+    degree_window,
     emptiness_threshold,
     membership,
     parameter_emptiness,
@@ -28,6 +31,8 @@ from util import (
     complete_graph,
     coxeter_graph,
     cycle_graph,
+    degree_ceilings_reference,
+    degree_window_reference,
     flower_snark,
     generalized_petersen,
     hypohamiltonian_direct,
@@ -39,6 +44,7 @@ from util import (
     random_connected_graph,
     random_graph,
     random_relabel,
+    violated_rules_reference,
 )
 
 GAMMA = ClassKind.GAMMA
@@ -257,6 +263,45 @@ def test_violated_rules_examples():
     violated = set(violated_rules(cycle_graph(10), ClassParams(2, GAMMA), DEFAULT_RULES))
     assert "order_threshold" in violated
     assert "min_degree" in violated
+
+
+RULE_SETS = [frozenset(c) for size in range(len(RULE_ORDER) + 1) for c in combinations(RULE_ORDER, size)]
+
+
+def test_rule_constants_match_uncached_recomputation():
+    # every order 1..30, level 1..4, class and subset of the rules, asked
+    # from a cleared cache and again from the filled one
+    degree_ceilings.cache_clear()
+    grid = [
+        (n, ClassParams(k, kind), rules)
+        for n in range(1, 31)
+        for k in range(1, 5)
+        for kind in (GAMMA, PI)
+        for rules in RULE_SETS
+    ]
+    for _ in range(2):
+        for n, params, rules in grid:
+            ceilings = degree_ceilings(n, params, rules)
+            assert isinstance(ceilings, tuple)
+            assert list(ceilings) == degree_ceilings_reference(n, params, rules)
+            assert degree_window(n, params, rules) == degree_window_reference(n, params, rules)
+    assert degree_ceilings.cache_info().misses == len(grid)
+
+
+def test_violated_rules_match_reference(corpus):
+    # the same rules in the same order: every subset of the rules up to
+    # order 6, the default and the full set up to order 8, k = 1..3
+    params = [ClassParams(k, kind) for k in (1, 2, 3) for kind in (GAMMA, PI)]
+    for n in range(1, 9):
+        rule_sets = RULE_SETS if n <= 6 else [DEFAULT_RULES, frozenset(RULE_ORDER)]
+        for g in corpus[n]:
+            for p in params:
+                for rules in rule_sets:
+                    assert list(violated_rules(g, p, rules)) == violated_rules_reference(g, p, rules)
+    # a plain set of rules is still taken, though the constants are cached
+    g = corpus[6][0]
+    assert list(violated_rules(g, params[0], set(RULE_ORDER))) == list(violated_rules(g, params[0], frozenset(RULE_ORDER)))
+    assert degree_window(12, params[0], set(RULE_ORDER)) == degree_window(12, params[0], frozenset(RULE_ORDER))
 
 
 def test_violated_rules_holton_sheehan_gate():

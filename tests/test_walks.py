@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from hamclass.walks import (
     CycleWitness,
     PathWitness,
     WitnessError,
+    _dfs_cycle,
     _seed_cycle,
     check_witness,
     circumference,
@@ -31,6 +32,7 @@ from hamclass.walks import (
     longest_induced_path_from,
 )
 from util import (
+    _dfs_cycle_reference,
     brute_longest_cycle,
     circumference_dp_oracle,
     circumference_reference,
@@ -251,6 +253,64 @@ def test_seed_cycle_matches_reference(corpus):
         n = rng.randint(9, 16)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
         assert _seed_cycle(g) == seed_cycle_reference(g), write_graph6(g)
+
+
+# graphs of order 1..7, one per isomorphism class (OEIS A000088)
+GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def _every_graph(corpus, n):
+    """Every graph of order n, one per isomorphism class: each multiset of
+    connected graphs of the corpus whose orders sum to n, side by side."""
+
+    def unions(n, largest):
+        if n == 0:
+            yield []
+            return
+        for m in range(min(n, largest), 0, -1):
+            for times in range(1, n // m + 1):
+                for picks in combinations_with_replacement(corpus[m], times):
+                    for rest in unions(n - m * times, m - 1):
+                        yield list(picks) + rest
+
+    for parts in unions(n, n):
+        edges, start = [], 0
+        for part in parts:
+            edges += [(start + u, start + v) for u, v in part.edges()]
+            start += part.n
+        yield Graph.from_edges(n, edges)
+
+
+def _dfs_cycle_agrees(g):
+    want = _dfs_cycle_reference(g)
+    got = _dfs_cycle(g)
+    assert (got is None and want is None) or tuple(got) == want.vertices, write_graph6(g)
+
+
+def test_dfs_cycle_matches_reference(corpus):
+    # every graph of order <= 7, forests and disconnected graphs included,
+    # in its own labelling and three more, and every labelled graph of
+    # order <= 6; then a path of order 64 closed by one chord, which the
+    # iterative search walks 64 deep
+    rng = random.Random(191)
+    for n, want in GRAPH_COUNTS.items():
+        every = list(_every_graph(corpus, n))
+        assert len(every) == want
+        for g in every:
+            for h in [g] + [random_relabel(g, rng) for _ in range(3)]:
+                _dfs_cycle_agrees(h)
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            _dfs_cycle_agrees(Graph.from_edges(n, [p for i, p in enumerate(pairs) if chosen >> i & 1]))
+    path = [(i, i + 1) for i in range(63)]
+    assert _dfs_cycle(Graph.from_edges(64, path)) is None
+    for chord in ((0, 63), (0, 2), (61, 63), (17, 40)):
+        g = Graph.from_edges(64, path + [chord])
+        assert _dfs_cycle(g) == list(range(chord[0], chord[1] + 1))
+        _dfs_cycle_agrees(g)
+        for _ in range(3):
+            _dfs_cycle_agrees(random_relabel(g, rng))
 
 
 def _corpus_and_random(corpus, seed, top):

@@ -11,6 +11,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations, permutations
+from math import floor
 from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
@@ -20,6 +21,7 @@ from hamclass.graphs import (
     Graph,
     bits,
     closure_mask,
+    degree_profile,
     induced_subgraph,
     mask_of,
     trusted_graph,
@@ -31,8 +33,12 @@ from hamclass.membership import (
     ClassKind,
     ClassParams,
     MembershipVerdict,
+    connectivity_requirement,
     membership,
+    parameter_emptiness,
+    required_connectivity,
     target_length,
+    theorem_max_degree,
 )
 from hamclass.walks import (
     CycleWitness,
@@ -142,6 +148,51 @@ def rule_reference(g: Graph, params: ClassParams, rules: Iterable[str]) -> set[s
         "connectivity": brute_connectivity(g) < need,
     }
     return {rule for rule in rules if fails[rule]}
+
+
+def degree_ceilings_reference(n: int, params: ClassParams, rules: Iterable[str]) -> list[tuple[str, int]]:
+    """`membership.degree_ceilings` as it was before it was cached: a fresh
+    list of (rule, ceiling) pairs on every call."""
+    caps = []
+    if "max_degree" in rules:
+        caps.append(("max_degree", floor(theorem_max_degree(n, params))))
+    if "holton_sheehan" in rules and params.kind is ClassKind.GAMMA and params.k == 1:
+        caps.append(("holton_sheehan", (n - 4) // 2))
+    return caps
+
+
+def _order_threshold_fires_reference(n: int, params: ClassParams, rules: Iterable[str]) -> bool:
+    return "order_threshold" in rules and params.k >= 2 and parameter_emptiness(n, params)
+
+
+def degree_window_reference(n: int, params: ClassParams, rules: Iterable[str]) -> tuple[int, int | None]:
+    """`membership.degree_window` recomputed from the uncached ceilings."""
+    ceiling = min((cap for _, cap in degree_ceilings_reference(n, params, rules)), default=None)
+    floor_needed = required_connectivity(params) if "min_degree" in rules else 0
+    if _order_threshold_fires_reference(n, params, rules) or (ceiling is not None and floor_needed > ceiling):
+        floor_needed = 0
+    return floor_needed, ceiling
+
+
+def violated_rules_reference(g: Graph, params: ClassParams, rules: Iterable[str]) -> list[str]:
+    """`membership.violated_rules` as it was before it read the row
+    popcounts: one `DegreeProfile` per graph and the ceilings recomputed
+    on every call. Its rules, in its order, are what `violated_rules`
+    must yield."""
+    out = []
+    if _order_threshold_fires_reference(g.n, params, rules):
+        out.append("order_threshold")
+    ceilings = degree_ceilings_reference(g.n, params, rules)
+    if "min_degree" in rules or ceilings:
+        prof = degree_profile(g)
+        if "min_degree" in rules and prof.min_degree < required_connectivity(params):
+            out.append("min_degree")
+        for rule, cap in ceilings:
+            if prof.max_degree > cap:
+                out.append(rule)
+    if "connectivity" in rules and not connectivity_requirement(g, params):
+        out.append("connectivity")
+    return out
 
 
 def brute_longest_cycle(g: Graph) -> int:
