@@ -20,10 +20,11 @@ keeping v in the canonical orbit is a property of the orbit too.
 `_children` therefore yields only the first candidate of each orbit,
 which is its smallest integer mask, and the first kept sibling of each
 class is the one it keeps. The orbits come from generators of all of
-Aut(parent): a subtree root's come from one canonical search (see
-`canon`), and any other parent's from its own tie searches or from
-`_stabiliser` (below). Children of distinct parents never collide
-because the deletion parent is determined up to isomorphism.
+Aut(parent): the one-vertex root's come from one canonical search (see
+`canon`), and every other parent's, subtree roots included, from its own
+tie searches or from `_stabiliser` (below). Children of distinct parents
+never collide because the deletion parent is determined up to
+isomorphism.
 
 The canonical orbit is the set of non-cutvertices minimizing
 (degree, refined cell position, marked canonical code); the first two
@@ -49,12 +50,15 @@ Let A be the attachment set, so v has degree s = |A|.
   one yielded before. An unattached non-cutvertex of degree s only ties
   v, and later components may still favour v, so it is not a reason to
   skip.
-- Cut structure, from the parent. `_grow` finds the parent's
-  non-cutvertices once. For s >= 2 they stay non-cutvertices (above); for
+- Cut structure, handed down. Every node carries its non-cutvertex
+  mask, and only the one-vertex root computes one from scratch. For
+  s >= 2 the parent's non-cutvertices stay non-cutvertices (above); for
   s = 1 all but v's one neighbour do. A parent cutvertex becomes a
-  non-cutvertex when A meets every component it separates. So
-  `_is_canonical` runs a closure only for the parent's cutvertices, and
-  for v's neighbour when s = 1.
+  non-cutvertex when A meets every component it separates, and v is never
+  a cutvertex, since the parent is connected. So `_is_canonical` runs a
+  closure only for the parent's cutvertices, and for v's neighbour when
+  s = 1, and `_grow` builds the mask it hands a kept child from closures
+  over those same vertices, whatever their degree.
 - Watched refinement. A tie is a non-cutvertex of v's degree; a tie in an
   earlier refined cell than v rejects the child. A split replaces a cell
   by its parts in place, so once a tie is split off before v it stays
@@ -80,11 +84,11 @@ Let A be the attachment set, so v has degree s = |A|.
   search stopped at a leaf of code c and carried u onto v. The known
   automorphisms therefore hold the stabiliser of v and are transitive
   on v's orbit, and by the orbit-stabiliser theorem they generate
-  Aut(child). A kept child hands them down to its own `_grow`, which
-  then needs no search of its own; a leaf, a child of the last order
-  grown (n, or the split order of `subtree_roots`), has no children and
+  Aut(child). A kept child of order below n hands them down, to its own
+  `_grow` or, at the split order, with its subtree root, and needs no
+  search of its own; a leaf, a child of order n, has no children and
   drops them.
-- A child with children to grow that was settled by degree or by its
+- A kept child of order below n that was settled by degree or by its
   cell takes its group from its parent. `_is_canonical` returns no group
   for it exactly then, and then no other vertex ties v, so the canonical
   orbit is {v} and every automorphism of the child fixes v. Such an
@@ -92,8 +96,8 @@ Let A be the attachment set, so v has degree s = |A|.
   onto itself, and each of those extends to the child by fixing v. So
   Aut(child) is the stabiliser of A in Aut(parent), with v fixed, and
   `_stabiliser` gets its generators from the parent's by Schreier's
-  lemma. A subtree root, and the one-vertex root, has no parent group at
-  hand and gets its group from `automorphism_generators`.
+  lemma. Only the one-vertex root has no parent, and it gets its group
+  from `automorphism_generators`.
 
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
@@ -112,7 +116,9 @@ and each of those has at most max_degree edges (n - 1 without a
 ceiling). A child of order m is therefore dropped when the sum over its
 vertices of max(0, min_degree - degree) exceeds (n - m) * max_degree.
 That sum is a property of the class as well, so the budget is sound for
-the same reason as the relaxed floor.
+the same reason as the relaxed floor. It is handed down like the cut
+structure: a child's sum is its parent's, less one for each vertex of A
+below min_degree, plus max(0, min_degree - s) for v.
 
 `subtree_roots` cuts the tree at the fixed order max(1, n - 3), as
 nauty's geng does with res/mod, so that the subtrees below its nodes can
@@ -123,12 +129,15 @@ Whether a node is kept depends only on its own class and on the target
 order n (the relaxed floor and the budget use n, not the split order),
 so the roots are exactly the tree's nodes at that order, and growing
 them in depth-first order emits the sequence of one depth-first walk of
-the whole tree.
+the whole tree. Each root is a `Node` that carries what its parent
+handed down, its group, non-cutvertex mask and deficit, so a subtree
+grown apart, in a pool worker after a pickle round trip, does the same
+work as in that one walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # canonical_form and marked_code are not called here; they stay bound
 # because perfbench/tracer.py wraps them in this module
@@ -330,55 +339,96 @@ def _children(
         ):
             if gens:
                 covered |= _orbit(attach, gens)
-            yield trusted_graph(
-                m + 1,
-                tuple(row | bit if attach >> u & 1 else row for u, row in enumerate(rows))
-                + (attach,),
-            )
+            adj = list(rows)
+            rest = attach
+            while rest:
+                low = rest & -rest
+                adj[low.bit_length() - 1] |= bit
+                rest ^= low
+            adj.append(attach)
+            yield trusted_graph(m + 1, tuple(adj))
         sub = (sub - free) & free
         if not sub:
             return
 
 
+class Node(NamedTuple):
+    """A node of the augmentation tree with what growing it needs from its
+    parent: generators of Aut(graph), the mask of its non-cutvertices, and
+    its degree deficit, the sum over its vertices of max(0, min_degree -
+    degree) for the floor of the window it was grown in."""
+
+    graph: Graph
+    gens: list[list[int]]
+    noncut: int
+    deficit: int
+
+
 def _grow(
-    graph: Graph,
+    node: Node,
     n: int,
     max_degree: int | None,
     min_degree: int,
     stop: int | None = None,
-    gens: list[list[int]] | None = None,
-) -> Iterator[Graph]:
-    """graph itself at order `stop` (default n), else the nodes of that
-    order below it in the tree whose window is that of order n. `gens`,
-    when given, generate Aut(graph)."""
-    last = n if stop is None else stop
-    if graph.n == last:
+) -> Iterator[Graph | Node]:
+    """node's graph when it has order n, else the graphs of order n below
+    it in the tree whose window is that of order n, or with `stop`, the
+    nodes of order `stop` below it."""
+    graph, gens, noncut, deficit = node
+    if graph.n == n:
         yield graph
         return
     m = graph.n + 1
+    last = n if stop is None else stop
     budget = (n - m) * (n - 1 if max_degree is None else max_degree)
-    if gens is None:
-        gens = automorphism_generators(graph)
-    noncut = _noncutvertices(graph)
+    # the parent's vertices below the floor: attaching one lowers the deficit
+    short = 0
+    for u, row in enumerate(graph.adj):
+        if row.bit_count() < min_degree:
+            short |= 1 << u
+    cut = graph.vertex_mask & ~noncut
     for child in _children(graph, max_degree, min_degree - (n - m), gens, noncut):
-        if min_degree and budget < sum(
-            min_degree - d for d in map(int.bit_count, child.adj) if d < min_degree
-        ):
+        attach = child.adj[-1]
+        size = attach.bit_count()
+        child_deficit = deficit - (attach & short).bit_count() + max(0, min_degree - size)
+        if budget < child_deficit:
             continue
         kept, child_gens = _is_canonical(child, noncut)
-        if kept:
-            if child_gens is None and m < last:
-                child_gens = _stabiliser(gens, child.adj[-1])
-            yield from _grow(child, n, max_degree, min_degree, stop, child_gens)
+        if not kept:
+            continue
+        if m == n:
+            yield child
+            continue
+        if child_gens is None:
+            child_gens = _stabiliser(gens, attach)
+        # the newest vertex is a non-cutvertex, and of the parent's vertices
+        # only its cutvertices, and the one neighbour of a pendant newest
+        # vertex, may change (module docstring)
+        recheck = cut | attach if size == 1 else cut
+        child_noncut = noncut & ~recheck | 1 << graph.n
+        adj = child.adj
+        full = child.vertex_mask
+        while recheck:
+            low = recheck & -recheck
+            rem = full ^ low
+            if closure_mask(adj, rem, rem & -rem) == rem:
+                child_noncut |= low
+            recheck ^= low
+        handed = Node(child, child_gens, child_noncut, child_deficit)
+        if m == last:
+            yield handed
+        else:
+            yield from _grow(handed, n, max_degree, min_degree, stop)
 
 
 def subtree_roots(
     n: int, *, max_degree: int | None = None, min_degree: int = 0
-) -> Iterator[Graph]:
+) -> Iterator[Node]:
     """The nodes of the augmentation tree for order n at order
-    max(1, n - 3), in depth-first order, for `generate_connected(...,
-    root=...)` to grow. They are yielded lazily; the one-vertex graph is
-    the only root for n <= 4.
+    max(1, n - 3), in depth-first order, each with its group, non-cutvertex
+    mask and degree deficit, for `generate_connected(..., root=...)` to
+    grow. They are yielded lazily; the one-vertex graph is the only root
+    for n <= 4.
     """
     if not 1 <= n <= min(GENERATION_CAP, MAX_ORDER):
         raise ValueError(f"order {n} outside 1..{GENERATION_CAP}")
@@ -388,11 +438,14 @@ def subtree_roots(
         raise ValueError("negative degree floor")
     # _children applies the window to every graph but the one-vertex root
     if n > 1 or min_degree == 0:
-        yield from _grow(Graph(1, (0,)), n, max_degree, min_degree, max(1, n - 3))
+        one = Graph(1, (0,))
+        root = Node(one, automorphism_generators(one), _noncutvertices(one), min_degree)
+        split = max(1, n - 3)
+        yield from _grow(root, n, max_degree, min_degree, split) if split > 1 else (root,)
 
 
 def generate_connected(
-    n: int, *, max_degree: int | None = None, min_degree: int = 0, root: Graph | None = None
+    n: int, *, max_degree: int | None = None, min_degree: int = 0, root: Node | None = None
 ) -> Iterator[Graph]:
     """All connected graphs of order n, one per isomorphism class.
 

@@ -26,7 +26,7 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .generate import GENERATION_CAP, generate_connected, subtree_roots
+from .generate import GENERATION_CAP, Node, generate_connected, subtree_roots
 # vertex_connectivity is called from .membership, and degree_profile and
 # induced_subgraph are not called at all; they stay bound here because
 # perfbench/tracer.py wraps them in this module
@@ -73,6 +73,9 @@ SOURCE_STREAM = "stream"
 _CHUNK_RECORDS = 256
 _UNIT_ROOTS = 4
 
+# json.dumps with separators builds a new encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class CertificateError(ValueError):
     """The record cannot even be read as a certificate."""
@@ -90,7 +93,7 @@ class Certificate:
     witness_walks: tuple[tuple[int, ...], ...] | None
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODER.encode(
             {
                 "graph6": self.graph6,
                 "class": self.kind.value,
@@ -100,8 +103,7 @@ class Certificate:
                 "found_length": self.found_length,
                 "witness_set": self.witness_set,
                 "witness_walks": self.witness_walks,
-            },
-            separators=(",", ":"),
+            }
         )
 
 
@@ -110,11 +112,9 @@ _CERT_KEYS = frozenset(
 )
 
 
-def _plain_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_certificate(line: str) -> Certificate:
+    # json.loads makes every number an int or a float, and true and false
+    # bools, so `type(x) is int` takes the integers and refuses the rest
     try:
         obj = json.loads(line)
     except ValueError as exc:
@@ -129,7 +129,7 @@ def parse_certificate(line: str) -> Certificate:
     except ValueError as exc:
         raise CertificateError(f"unknown class {obj['class']!r}") from exc
     k = obj["k"]
-    if not _plain_int(k) or k < 1:
+    if type(k) is not int or k < 1:
         raise CertificateError("k must be a positive integer")
     verdict = obj["verdict"]
     if verdict not in ("member", "refuted"):
@@ -138,17 +138,17 @@ def parse_certificate(line: str) -> Certificate:
     if reason not in (None, WRONG_LENGTH, BAD_DELETION_SET):
         raise CertificateError(f"unknown reason {reason!r}")
     found = obj["found_length"]
-    if found is not None and not _plain_int(found):
+    if found is not None and type(found) is not int:
         raise CertificateError("found_length must be an integer or null")
     wset = obj["witness_set"]
     if wset is not None:
-        if not isinstance(wset, list) or not all(_plain_int(v) for v in wset):
+        if not isinstance(wset, list) or not all(type(v) is int for v in wset):
             raise CertificateError("witness_set must be a vertex array or null")
         wset = tuple(wset)
     walks = obj["witness_walks"]
     if walks is not None:
         bad = not isinstance(walks, list) or not all(
-            isinstance(w, list) and all(_plain_int(v) for v in w) for w in walks
+            isinstance(w, list) and all(type(v) is int for v in w) for w in walks
         )
         if bad:
             raise CertificateError("witness_walks must be an array of vertex arrays or null")
@@ -359,7 +359,7 @@ def _decide_chunk(
 
 
 def _decide_subtrees(
-    roots: list[Graph], n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
+    roots: list[Node], n: int, floor: int, cap: int | None, params: ClassParams, rules: frozenset[str]
 ) -> tuple[Counter[str], list[str]]:
     """`_decide_chunk` over the graphs generated below `roots`, in order."""
     graphs = (g for r in roots for g in generate_connected(n, max_degree=cap, min_degree=floor, root=r))
@@ -421,7 +421,7 @@ def scan(spec: ScanSpec, stream: Iterable[str] | TextIO | None = None, *, worker
     else:
         floor, cap = degree_window(spec.n, spec.params, spec.prune_rules)
         if _starts_no_generation(spec.n, floor, cap):
-            roots: Iterator[Graph] = iter(())
+            roots: Iterator[Node] = iter(())
         else:
             roots = subtree_roots(spec.n, max_degree=cap, min_degree=floor)
         units = iter(lambda: list(islice(roots, _UNIT_ROOTS)), [])

@@ -169,7 +169,7 @@ def is_path_in(g: Graph, vertices: tuple[int, ...]) -> bool:
         return False
     if any(not 0 <= v < g.n for v in vertices):
         return False
-    return all(g.adj[vertices[i]] >> vertices[i + 1] & 1 for i in range(k - 1))
+    return all(g.adj[u] >> v & 1 for u, v in zip(vertices, vertices[1:]))
 
 
 def is_cycle_in(g: Graph, vertices: tuple[int, ...]) -> bool:

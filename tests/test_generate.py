@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
@@ -8,7 +9,7 @@ import pytest
 import hamclass.canon
 import hamclass.generate
 from hamclass.canon import automorphism_generators, canonical_form, marked_code
-from hamclass.generate import _children, _noncutvertices, _orbit, generate_connected, subtree_roots
+from hamclass.generate import Node, _children, _noncutvertices, _orbit, generate_connected, subtree_roots
 from hamclass.graphs import Graph, degree_profile, induced_subgraph, is_connected, trusted_graph, write_graph6
 from util import (
     _canonical_code_reference,
@@ -127,15 +128,17 @@ def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
     expected = [write_graph6(g) for g in generate_connected_reference(n, max_degree=hi, min_degree=lo)]
     assert [write_graph6(g) for g in graphs] == expected
     # the subtrees below the split-level roots, grown one by one, give the
-    # same sequence: each graph once, in depth-first order
+    # same sequence: each graph once, in depth-first order, also from roots
+    # that went through pickle as they do to a pool worker
     roots = list(subtree_roots(n, max_degree=hi, min_degree=lo))
-    assert {root.n for root in roots} == {max(1, n - 3)}
-    sharded = [
-        write_graph6(g)
-        for root in roots
-        for g in generate_connected(n, max_degree=hi, min_degree=lo, root=root)
-    ]
-    assert sharded == expected
+    assert {root.graph.n for root in roots} == {max(1, n - 3)}
+    for shipped in (roots, [pickle.loads(pickle.dumps(root)) for root in roots]):
+        sharded = [
+            write_graph6(g)
+            for root in shipped
+            for g in generate_connected(n, max_degree=hi, min_degree=lo, root=root)
+        ]
+        assert sharded == expected
 
 
 @pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
@@ -171,16 +174,17 @@ def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
 
 @pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
 def test_handed_down_group_is_the_automorphism_group(monkeypatch, n, lo, hi):
-    # every kept node with children to grow gets generators of all of its
-    # automorphisms: by a search at a root, by the tie search of
-    # _is_canonical, or by _stabiliser from its parent's group
+    # every kept node with children to grow, and every subtree root, gets
+    # generators of all of its automorphisms: by the search at the
+    # one-vertex root, by the tie search of _is_canonical, or by _stabiliser
+    # from its parent's group
     grow = hamclass.generate._grow
     handed = []
 
-    def recording(graph, order, max_degree, min_degree, stop=None, gens=None):
-        if gens is not None and graph.n < (order if stop is None else stop):
-            handed.append((graph, gens))
-        return grow(graph, order, max_degree, min_degree, stop, gens)
+    def recording(node, order, max_degree, min_degree, stop=None):
+        if node.graph.n < order:
+            handed.append((node.graph, node.gens))
+        return grow(node, order, max_degree, min_degree, stop)
 
     monkeypatch.setattr(hamclass.generate, "_grow", recording)
     count = sum(1 for _ in generate_connected(n, max_degree=hi, min_degree=lo))
@@ -191,6 +195,62 @@ def test_handed_down_group_is_the_automorphism_group(monkeypatch, n, lo, hi):
         assert group == set(brute_automorphisms(graph))
         symmetric += len(group) > 1
     assert symmetric or n < 4
+
+
+def deficit(g: Graph, floor: int) -> int:
+    return sum(max(0, floor - row.bit_count()) for row in g.adj)
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi", [(n, 0, None) for n in range(2, 9)] + [(9, 3, 4), (10, 3, 3), (10, 4, 4)]
+)
+def test_handed_down_mask_and_deficit(monkeypatch, corpus, n, lo, hi):
+    # every node grown, subtree roots included, carries the non-cutvertex
+    # mask and the degree deficit that its own graph gives
+    grow = hamclass.generate._grow
+    nodes = []
+
+    def recording(node, order, max_degree, min_degree, stop=None):
+        nodes.append(node)
+        return grow(node, order, max_degree, min_degree, stop)
+
+    monkeypatch.setattr(hamclass.generate, "_grow", recording)
+    count = sum(1 for _ in generate_connected(n, max_degree=hi, min_degree=lo))
+    assert count == (len(corpus[n]) if hi is None else PINNED_REPRESENTATIVES[n, lo, hi][0])
+    assert {node.graph.n for node in nodes} == set(range(1, n))
+    for node in nodes:
+        assert node.noncut == _noncutvertices(node.graph)
+        assert node.deficit == deficit(node.graph, lo)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(7, 0, None), (8, 3, 3), (9, 4, 4), (9, 3, 4), (10, 3, 3), (10, 4, 4)])
+def test_budget_decisions_match_the_row_sum(monkeypatch, n, lo, hi):
+    # a child goes on to the canonicity test exactly when the deficit
+    # summed over its rows fits the budget of the n - m vertices to come
+    children = hamclass.generate._children
+    is_canonical = hamclass.generate._is_canonical
+    tried = []
+    tested = set()
+
+    def recording_children(parent, *args):
+        for child in children(parent, *args):
+            tried.append(child)
+            yield child
+
+    def recording_is_canonical(child, noncut):
+        tested.add(id(child))
+        return is_canonical(child, noncut)
+
+    monkeypatch.setattr(hamclass.generate, "_children", recording_children)
+    monkeypatch.setattr(hamclass.generate, "_is_canonical", recording_is_canonical)
+    sum(1 for _ in generate_connected(n, max_degree=hi, min_degree=lo))
+    dropped = 0
+    for child in tried:
+        budget = (n - child.n) * (n - 1 if hi is None else hi)
+        fits = deficit(child, lo) <= budget
+        assert (id(child) in tested) == fits
+        dropped += not fits
+    assert dropped or lo == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -246,7 +306,8 @@ def test_degree_skip_drops_only_noncanonical_children(corpus):
 def test_subtree_roots():
     # one root, the one-vertex graph, up to order 4
     for n in range(1, 5):
-        assert list(subtree_roots(n)) == [Graph(1, (0,))]
+        assert list(subtree_roots(n)) == [Node(Graph(1, (0,)), [], 1, 0)]
+    assert list(subtree_roots(3, min_degree=2)) == [Node(Graph(1, (0,)), [], 1, 2)]
     assert list(subtree_roots(1, min_degree=1)) == []
     # without a window the roots for order 7 are the connected graphs of
     # order 4
@@ -256,21 +317,44 @@ def test_subtree_roots():
         list(subtree_roots(11))
 
 
+@pytest.mark.parametrize(
+    "n, lo, hi", [(n, 0, None) for n in range(5, 11)] + [(9, 3, 4), (10, 3, 3), (10, 4, 4), (10, 3, 4)]
+)
+def test_subtree_roots_carry_their_group(n, lo, hi):
+    # each root's generators generate its automorphism group (checked in
+    # full up to order 6, by its orbits at order 7), and its mask and
+    # deficit are its own graph's
+    roots = list(subtree_roots(n, max_degree=hi, min_degree=lo))
+    assert roots
+    for graph, gens, noncut, carried in roots:
+        assert graph.n == n - 3
+        assert noncut == _noncutvertices(graph)
+        assert carried == deficit(graph, lo)
+        if graph.n <= 6:
+            assert generated_group(gens, graph.n) == set(brute_automorphisms(graph))
+        else:
+            orbits = {frozenset(_orbit(1 << v, gens)) for v in range(graph.n)}
+            assert orbits == {frozenset(1 << v for v in o) for o in brute_orbits(graph)}
+
+
 # connected regular graphs: cubic (OEIS A002851) and 4-regular (A006820)
 REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 
 
 # calls of _is_canonical, trusted_graph (the children built), refine,
-# marked_code, automorphism_generators, _stabiliser and _bounded (the tie
-# searches that stop at a leaf reaching v's marked code) while generating
-# order n with every degree in [lo, hi]: a lost prune or orbit test moves
-# them, not the output. marked_code reads 0 because the tie searches find
-# v's code themselves; a call that comes back shows there
+# marked_code, automorphism_generators, _stabiliser, _bounded (the tie
+# searches that stop at a leaf reaching v's marked code) and
+# _noncutvertices while generating order n with every degree in [lo, hi]:
+# a lost prune or orbit test moves them, not the output. marked_code reads
+# 0 because the tie searches find v's code themselves; a call that comes
+# back shows there. automorphism_generators and _noncutvertices run once,
+# at the one-vertex root, since every other node, subtree roots included,
+# is handed its group and mask by its parent
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 3443, 0, 7, 61, 382),
-    (9, 3, 4): (4284, 4492, 8641, 0, 79, 788, 898),
-    (10, 3, 3): (592, 850, 2186, 0, 65, 158, 317),
-    (10, 4, 4): (3152, 4614, 10036, 0, 316, 766, 1408),
+    (7, 0, None): (1361, 1361, 3403, 0, 1, 62, 382, 1),
+    (9, 3, 4): (4284, 4492, 8212, 0, 1, 826, 898, 1),
+    (10, 3, 3): (592, 850, 1939, 0, 1, 197, 317, 1),
+    (10, 4, 4): (3152, 4614, 8666, 0, 1, 980, 1408, 1),
 }
 
 
@@ -283,7 +367,14 @@ def test_generator_work_is_pinned(n, lo, hi):
         trusted_graph,
     )
     names = (
-        "_is_canonical", "trusted_graph", "refine", "marked_code", "automorphism_generators", "_stabiliser", "_bounded"
+        "_is_canonical",
+        "trusted_graph",
+        "refine",
+        "marked_code",
+        "automorphism_generators",
+        "_stabiliser",
+        "_bounded",
+        "_noncutvertices",
     )
     assert tuple(calls[name] for name in names) == GENERATOR_WORK[n, lo, hi]
 

@@ -744,6 +744,20 @@ def test_parse_certificate_format_errors():
         with pytest.raises(CertificateError):
             parse_certificate(bad)
 
+    # JSON true and false, and floats even when integral, are no integers
+    refuted = json.loads(certify(cycle_graph(6), G1).to_json())
+    assert refuted["found_length"] == 6 and refuted["witness_walks"]
+    for not_int in (True, False, 1.0, 2.5):
+        for field, value in (
+            ("k", not_int),
+            ("found_length", not_int),
+            ("witness_set", [0, not_int]),
+            ("witness_walks", [[0, not_int]]),
+            ("witness_walks", [[0, 1], [not_int]]),
+        ):
+            with pytest.raises(CertificateError):
+                parse_certificate(json.dumps({**refuted, field: value}))
+
     with pytest.raises(CertificateError, match="does not parse"):
         verify_certificate(dataclasses.replace(certify(complete_graph(5), G1), graph6="!!"))
 
