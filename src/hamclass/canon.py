@@ -212,11 +212,6 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return _search(g.n, g.adj, [tuple(range(g.n))])[0]
 
 
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Permutations (gamma[v] is the image of v) that generate Aut(g)."""
-    return _search(g.n, g.adj, [tuple(range(g.n))])[1]
-
-
 def marked_code(g: Graph, x: int) -> tuple[int, ...]:
     """Canonical form of g with vertex x distinguished.
 

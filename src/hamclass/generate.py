@@ -20,11 +20,10 @@ keeping v in the canonical orbit is a property of the orbit too.
 `_children` therefore yields only the first candidate of each orbit,
 which is its smallest integer mask, and the first kept sibling of each
 class is the one it keeps. The orbits come from generators of all of
-Aut(parent): the one-vertex root's come from one canonical search (see
-`canon`), and every other parent's, subtree roots included, from its own
-tie searches or from `_stabiliser` (below). Children of distinct parents
-never collide because the deletion parent is determined up to
-isomorphism.
+Aut(parent): the one-vertex root's group is trivial, and every other
+parent's, subtree roots included, comes from its own tie searches or
+from `_stabiliser` (below). Children of distinct parents never collide
+because the deletion parent is determined up to isomorphism.
 
 The canonical orbit is the set of non-cutvertices minimizing
 (degree, refined cell position, marked canonical code); the first two
@@ -51,14 +50,15 @@ Let A be the attachment set, so v has degree s = |A|.
   v, and later components may still favour v, so it is not a reason to
   skip.
 - Cut structure, handed down. Every node carries its non-cutvertex
-  mask, and only the one-vertex root computes one from scratch. For
-  s >= 2 the parent's non-cutvertices stay non-cutvertices (above); for
-  s = 1 all but v's one neighbour do. A parent cutvertex becomes a
-  non-cutvertex when A meets every component it separates, and v is never
-  a cutvertex, since the parent is connected. So `_is_canonical` runs a
-  closure only for the parent's cutvertices, and for v's neighbour when
-  s = 1, and `_grow` builds the mask it hands a kept child from closures
-  over those same vertices, whatever their degree.
+  mask; the one-vertex root's is its one vertex. For s >= 2 the parent's
+  non-cutvertices stay non-cutvertices (above); for s = 1 all but v's one
+  neighbour do. A parent cutvertex becomes a non-cutvertex when A meets
+  every component it separates, and v is never a cutvertex, since the
+  parent is connected. So `_grow` builds each child's mask, once the
+  child fits the budget, from the parent's with one closure for each
+  parent cutvertex, and for v's neighbour when s = 1. `_is_canonical`
+  reads the child's beaters and ties off that mask, and a kept child
+  hands the same mask down.
 - Watched refinement. A tie is a non-cutvertex of v's degree; a tie in an
   earlier refined cell than v rejects the child. A split replaces a cell
   by its parts in place, so once a tie is split off before v it stays
@@ -96,8 +96,8 @@ Let A be the attachment set, so v has degree s = |A|.
   onto itself, and each of those extends to the child by fixing v. So
   Aut(child) is the stabiliser of A in Aut(parent), with v fixed, and
   `_stabiliser` gets its generators from the parent's by Schreier's
-  lemma. Only the one-vertex root has no parent, and it gets its group
-  from `automorphism_generators`.
+  lemma. Only the one-vertex root has no parent, and its group is
+  trivial.
 
 An optional degree window [min_degree, max_degree] is applied while
 augmenting. Deleting a vertex never raises a degree, so the parent of a
@@ -141,22 +141,10 @@ from typing import Iterator, NamedTuple
 
 # canonical_form and marked_code are not called here; they stay bound
 # because perfbench/tracer.py wraps them in this module
-from .canon import _search, automorphism_generators, canonical_form, marked_code, refine
+from .canon import _search, canonical_form, marked_code, refine
 from .graphs import MAX_ORDER, Graph, bits, closure_mask, mask_of, trusted_graph
 
 GENERATION_CAP = 10
-
-
-def _noncutvertices(g: Graph) -> int:
-    """Mask of the vertices whose removal leaves g connected."""
-    adj = g.adj
-    full = g.vertex_mask
-    noncut = 0
-    for u in range(g.n):
-        rem = full ^ (1 << u)
-        if closure_mask(adj, rem, rem & -rem) == rem:
-            noncut |= 1 << u
-    return noncut
 
 
 def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | None]:
@@ -164,31 +152,21 @@ def _is_canonical(child: Graph, noncut: int) -> tuple[bool, list[list[int]] | No
     kept child whose ties survived refinement, generators of Aut(child)
     from the searches that settled them.
 
-    `noncut` is the parent's non-cutvertex mask; the module docstring says
-    why only the parent's cutvertices, and the one neighbour of a pendant
-    newest vertex, need a closure here.
+    `noncut` is the child's own non-cutvertex mask, which holds the newest
+    vertex (module docstring).
     """
     adj = child.adj
     n = child.n
     v = n - 1
     dv = adj[v].bit_count()
-    full = child.vertex_mask
-    # the newest vertex is never a cutvertex (its parent is connected), so
-    # only a non-cutvertex of degree at most dv can beat or tie it; only
-    # these vertices can differ from the parent in being one
-    recheck = ~noncut | adj[v] if dv == 1 else ~noncut
+    # a non-cutvertex of lower degree beats v, and one of v's degree ties it
     ties = 0
-    for u in range(v):
+    for u in bits(noncut ^ 1 << v):
         du = adj[u].bit_count()
-        if du > dv:
-            continue
-        if recheck >> u & 1:
-            rem = full ^ (1 << u)
-            if closure_mask(adj, rem, rem & -rem) != rem:
-                continue
         if du < dv:
             return False, None
-        ties |= 1 << u
+        if du == dv:
+            ties |= 1 << u
     if not ties:
         return True, None
     # the unit partition's first split gives these cells of equal degree,
@@ -393,14 +371,6 @@ def _grow(
         child_deficit = deficit - (attach & short).bit_count() + max(0, min_degree - size)
         if budget < child_deficit:
             continue
-        kept, child_gens = _is_canonical(child, noncut)
-        if not kept:
-            continue
-        if m == n:
-            yield child
-            continue
-        if child_gens is None:
-            child_gens = _stabiliser(gens, attach)
         # the newest vertex is a non-cutvertex, and of the parent's vertices
         # only its cutvertices, and the one neighbour of a pendant newest
         # vertex, may change (module docstring)
@@ -414,6 +384,14 @@ def _grow(
             if closure_mask(adj, rem, rem & -rem) == rem:
                 child_noncut |= low
             recheck ^= low
+        kept, child_gens = _is_canonical(child, child_noncut)
+        if not kept:
+            continue
+        if m == n:
+            yield child
+            continue
+        if child_gens is None:
+            child_gens = _stabiliser(gens, attach)
         handed = Node(child, child_gens, child_noncut, child_deficit)
         if m == last:
             yield handed
@@ -438,8 +416,7 @@ def subtree_roots(
         raise ValueError("negative degree floor")
     # _children applies the window to every graph but the one-vertex root
     if n > 1 or min_degree == 0:
-        one = Graph(1, (0,))
-        root = Node(one, automorphism_generators(one), _noncutvertices(one), min_degree)
+        root = Node(Graph(1, (0,)), [], 1, min_degree)
         split = max(1, n - 3)
         yield from _grow(root, n, max_degree, min_degree, split) if split > 1 else (root,)
 

@@ -8,12 +8,21 @@ import pytest
 
 import hamclass.canon
 import hamclass.generate
-from hamclass.canon import automorphism_generators, canonical_form, marked_code
-from hamclass.generate import Node, _children, _noncutvertices, _orbit, generate_connected, subtree_roots
-from hamclass.graphs import Graph, degree_profile, induced_subgraph, is_connected, trusted_graph, write_graph6
+from hamclass.canon import canonical_form, marked_code
+from hamclass.generate import Node, _children, _orbit, generate_connected, subtree_roots
+from hamclass.graphs import (
+    Graph,
+    closure_mask,
+    degree_profile,
+    induced_subgraph,
+    is_connected,
+    trusted_graph,
+    write_graph6,
+)
 from util import (
     _canonical_code_reference,
     _children_reference,
+    _noncutvertices,
     automorphism_count,
     brute_automorphisms,
     brute_orbits,
@@ -143,14 +152,15 @@ def test_matches_seen_dedupe_oracle(corpus, n, lo, hi):
 
 @pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
 def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
-    # every child the tree tries: the fast test keeps it exactly when the
-    # reference finds its newest vertex in the canonical orbit, and a group
-    # it returns, leaf or not, is Aut(child) (checked in full up to order 6,
-    # by its orbits at order 7)
+    # every child the tree tries is handed its own non-cutvertex mask; the
+    # fast test keeps it exactly when the reference finds its newest vertex
+    # in the canonical orbit, and a group it returns, leaf or not, is
+    # Aut(child) (checked in full up to order 6, by its orbits at order 7)
     is_canonical = hamclass.generate._is_canonical
     tried = []
 
     def recording(child, noncut):
+        assert noncut == _noncutvertices(child)
         kept, gens = is_canonical(child, noncut)
         tried.append((child, kept, gens))
         return kept, gens
@@ -175,9 +185,9 @@ def test_is_canonical_matches_reference(monkeypatch, n, lo, hi):
 @pytest.mark.parametrize("n, lo, hi", [(n, 0, None) for n in range(2, 8)] + [(9, 3, 4), (10, 3, 3)])
 def test_handed_down_group_is_the_automorphism_group(monkeypatch, n, lo, hi):
     # every kept node with children to grow, and every subtree root, gets
-    # generators of all of its automorphisms: by the search at the
-    # one-vertex root, by the tie search of _is_canonical, or by _stabiliser
-    # from its parent's group
+    # generators of all of its automorphisms: none at the one-vertex root,
+    # by the tie search of _is_canonical, or by _stabiliser from its
+    # parent's group
     grow = hamclass.generate._grow
     handed = []
 
@@ -342,19 +352,19 @@ REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 
 
 # calls of _is_canonical, trusted_graph (the children built), refine,
-# marked_code, automorphism_generators, _stabiliser, _bounded (the tie
-# searches that stop at a leaf reaching v's marked code) and
-# _noncutvertices while generating order n with every degree in [lo, hi]:
-# a lost prune or orbit test moves them, not the output. marked_code reads
-# 0 because the tie searches find v's code themselves; a call that comes
-# back shows there. automorphism_generators and _noncutvertices run once,
-# at the one-vertex root, since every other node, subtree roots included,
-# is handed its group and mask by its parent
+# marked_code, _stabiliser, _bounded (the tie searches that stop at a leaf
+# reaching v's marked code) and closure_mask while generating order n with
+# every degree in [lo, hi]: a lost prune or orbit test moves them, not the
+# output. marked_code reads 0 because the tie searches find v's code
+# themselves; a call that comes back shows there. closure_mask counts the
+# cut closures that build each child's non-cutvertex mask from its
+# parent's, one per parent cutvertex, and one more for the neighbour of a
+# pendant newest vertex, for every child within the deficit budget
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 3403, 0, 1, 62, 382, 1),
-    (9, 3, 4): (4284, 4492, 8212, 0, 1, 826, 898, 1),
-    (10, 3, 3): (592, 850, 1939, 0, 1, 197, 317, 1),
-    (10, 4, 4): (3152, 4614, 8666, 0, 1, 980, 1408, 1),
+    (7, 0, None): (1361, 1361, 3402, 0, 62, 382, 1031),
+    (9, 3, 4): (4284, 4492, 8211, 0, 826, 898, 1310),
+    (10, 3, 3): (592, 850, 1938, 0, 197, 317, 766),
+    (10, 4, 4): (3152, 4614, 8665, 0, 980, 1408, 767),
 }
 
 
@@ -365,17 +375,9 @@ def test_generator_work_is_pinned(n, lo, hi):
         hamclass.generate,
         hamclass.canon,
         trusted_graph,
+        closure_mask,
     )
-    names = (
-        "_is_canonical",
-        "trusted_graph",
-        "refine",
-        "marked_code",
-        "automorphism_generators",
-        "_stabiliser",
-        "_bounded",
-        "_noncutvertices",
-    )
+    names = ("_is_canonical", "trusted_graph", "refine", "marked_code", "_stabiliser", "_bounded", "closure_mask")
     assert tuple(calls[name] for name in names) == GENERATOR_WORK[n, lo, hi]
 
 

@@ -544,6 +544,19 @@ def refine_reference(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list
     return cells
 
 
+def _noncutvertices(g: Graph) -> int:
+    """Mask of the vertices whose removal leaves g connected, by one
+    closure per vertex."""
+    adj = g.adj
+    full = g.vertex_mask
+    noncut = 0
+    for u in range(g.n):
+        rem = full ^ (1 << u)
+        if closure_mask(adj, rem, rem & -rem) == rem:
+            noncut |= 1 << u
+    return noncut
+
+
 def _canonical_code_reference(child: Graph) -> tuple[int, ...] | None:
     """Marked code of the newest vertex when it lies in the canonical
     orbit (least degree, then refined cell, then marked code among
