@@ -50,15 +50,19 @@ Let A be the attachment set, so v has degree s = |A|.
   v, and later components may still favour v, so it is not a reason to
   skip.
 - Cut structure, handed down. Every node carries its non-cutvertex
-  mask; the one-vertex root's is its one vertex. For s >= 2 the parent's
-  non-cutvertices stay non-cutvertices (above); for s = 1 all but v's one
-  neighbour do. A parent cutvertex becomes a non-cutvertex when A meets
-  every component it separates, and v is never a cutvertex, since the
-  parent is connected. So `_grow` builds each child's mask, once the
-  child fits the budget, from the parent's with one closure for each
-  parent cutvertex, and for v's neighbour when s = 1. `_is_canonical`
-  reads the child's beaters and ties off that mask, and a kept child
-  hands the same mask down.
+  mask; the one-vertex root's is its one vertex. v is never a cutvertex,
+  since the parent is connected. For s >= 2 the parent's non-cutvertices
+  stay non-cutvertices (above), and a parent cutvertex becomes one when A
+  meets every component it separates. For s = 1 on a parent of order 2
+  or more nothing needs a search: v joins the component of its neighbour
+  w, so every parent cutvertex still separates the child, w now cuts v
+  off from the rest, and every other non-cutvertex stays one. (On the
+  one-vertex root both vertices of the child are non-cutvertices.) So
+  `_grow` builds each child's mask, once the child fits the budget, from
+  the parent's: by dropping w when v is pendant, and otherwise with one
+  closure for each parent cutvertex. `_is_canonical` reads the child's
+  beaters and ties off that mask, and a kept child hands the same mask
+  down.
 - Watched refinement. A tie is a non-cutvertex of v's degree; a tie in an
   earlier refined cell than v rejects the child. A split replaces a cell
   by its parts in place, so once a tie is split off before v it stays
@@ -371,19 +375,23 @@ def _grow(
         child_deficit = deficit - (attach & short).bit_count() + max(0, min_degree - size)
         if budget < child_deficit:
             continue
-        # the newest vertex is a non-cutvertex, and of the parent's vertices
-        # only its cutvertices, and the one neighbour of a pendant newest
-        # vertex, may change (module docstring)
-        recheck = cut | attach if size == 1 else cut
-        child_noncut = noncut & ~recheck | 1 << graph.n
-        adj = child.adj
-        full = child.vertex_mask
-        while recheck:
-            low = recheck & -recheck
-            rem = full ^ low
-            if closure_mask(adj, rem, rem & -rem) == rem:
-                child_noncut |= low
-            recheck ^= low
+        # the newest vertex is a non-cutvertex; a pendant one makes its
+        # neighbour a cutvertex and leaves every other vertex as it was,
+        # and otherwise only the parent's cutvertices may change (module
+        # docstring)
+        child_noncut = noncut | 1 << graph.n
+        if size == 1 and graph.n > 1:
+            child_noncut &= ~attach
+        else:
+            adj = child.adj
+            full = child.vertex_mask
+            recheck = cut
+            while recheck:
+                low = recheck & -recheck
+                rem = full ^ low
+                if closure_mask(adj, rem, rem & -rem) == rem:
+                    child_noncut |= low
+                recheck ^= low
         kept, child_gens = _is_canonical(child, child_noncut)
         if not kept:
             continue

@@ -5,16 +5,24 @@ vertex, which keeps neighborhood intersections and subset tests cheap for
 the exhaustive searches built on top. Orders up to 64 are supported so a
 row always fits in a single machine word on CPython.
 
-The graph6 codec leaves the bit packing to C string operations. Its
-digits 63..126 are the base64 alphabet shifted, so one byte translation
-and `binascii` turn a record body into bytes, and reversing the bits of
-each byte and reading them little-endian puts the p-th vertex pair of the
-column-major upper triangle at bit p of one integer. Column j, the pairs
-(i, j) with i < j, is then one shift and mask: the row of j below the
-diagonal. The rows above it are set with one step per edge. Writing runs
-the same steps backwards. A record is checked in a fixed order, each with
-its own message: the order prefix, the length, the first byte outside
-63..126, and the padding bits.
+The graph6 codec leaves the bit packing to C. A record body lists the
+vertex pairs of the column-major upper triangle, (0,1), (0,2), (1,2),
+(0,3), ..., six to a digit, so digit k always holds the pairs 6k..6k+5,
+whatever the order. Decoding looks each digit up in its own table, which
+maps the digit byte to the rows those pairs set, packed into one integer
+with row v at bits 64v..64v+63 and each pair setting both of its bits.
+Past order 16 a digit has two tables, one for each half of its pairs,
+which hold a quarter of the entries. No two tables set one pair, so the
+sum of the entries is the whole adjacency, and one `struct` unpack splits
+it into rows. The tables do not depend on the order: they are built when
+a record first needs them, up to the largest digit count parsed, and
+shared by every order. Writing takes column j, the pairs (i, j) with
+i < j, as the row of j below the diagonal, shifts each column to its
+first pair and sums them; `binascii` and a byte translation then turn the
+pairs into digits, since graph6 digits 63..126 are the base64 alphabet
+shifted. A record is checked in a fixed order, each with its own
+message: the order prefix, the length, the first byte outside 63..126,
+and the padding bits.
 
 The connectivity floor `vertex_connectivity(g, at_most=t)` tries every
 cut of fewer than t vertices in one packed closure. The vertex set each
@@ -35,11 +43,14 @@ that answers.
 
 from __future__ import annotations
 
-from binascii import a2b_base64, b2a_base64
+from binascii import b2a_base64
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, count, islice
-from typing import Iterable, Iterator
+from operator import and_, lshift
+from struct import Struct
+from typing import Callable, Iterable, Iterator
 
 MAX_ORDER = 64
 
@@ -183,10 +194,57 @@ def _parse_order(body: str) -> tuple[int, int]:
 # order of the base64 alphabet, so binascii does the 6-bit packing
 _GRAPH6_DIGITS = bytes(range(63, 127))
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_TO_BASE64 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 _TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 # each byte with its bits in reverse order
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# column j, the pairs (i, j) with i < j, is the row of j below the
+# diagonal and starts at pair j(j-1)/2
+_LOW_MASKS = tuple((1 << j) - 1 for j in range(MAX_ORDER))
+_COLUMN_OFFSETS = tuple(j * (j - 1) // 2 for j in range(MAX_ORDER))
+
+
+# The digits of orders up to 16, whose entries are short integers, each
+# have one table; a later digit has one for its first three pairs, read
+# by its high bits, and one for its last three, read by its low bits.
+# Split tables hold 16 entries a digit where a whole one holds 64: up to
+# order 34, 0.6 MB against 1.4 MB, for one more addition per digit.
+_WHOLE_DIGITS = 20
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(k: int) -> tuple[list[int], ...]:
+    """The tables of digit k: each maps a digit byte c to the packed rows
+    of the pairs that c sets among the table's own, row v at bits
+    64v..64v+63 and each pair setting both of its bits.
+
+    Digit k holds the pairs 6k..6k+5, the first at its high bit. Bytes
+    below 63 map to 0; the caller has refused them.
+    """
+    width = 6 if k < _WHOLE_DIGITS else 3
+    tables = []
+    for first in range(6 * k, 6 * k + 6, width):
+        values = [0]
+        for p in range(first, first + width):
+            j = bisect_right(_COLUMN_OFFSETS, p) - 1
+            i = p - _COLUMN_OFFSETS[j]
+            both = 1 << (64 * i + j) | 1 << (64 * j + i)
+            values = [x for value in values for x in (value, value + both)]
+        # the digit bits below this table's pairs
+        low = 6 * k + 6 - first - width
+        tables.append([0] * 63 + [values[d >> low & len(values) - 1] for d in range(64)])
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _order_decoder(n: int) -> tuple[tuple[list[int], ...], Callable[[bytes], tuple[int, ...]]]:
+    """The tables of an order-n body, to be read with the body followed by
+    its digits from `_WHOLE_DIGITS` on: every digit's whole or first
+    table, then the second tables. Also the unpacking of the packed rows
+    into one int per vertex."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    per_digit = list(map(_digit_tables, range(nbytes)))
+    tables = [t[0] for t in per_digit] + [t[1] for t in per_digit[_WHOLE_DIGITS:]]
+    return tuple(tables), Struct(f"<{n}Q").unpack
 
 
 def parse_graph6(record: str | bytes) -> Graph:
@@ -212,26 +270,15 @@ def parse_graph6(record: str | bytes) -> Graph:
         # the first character outside 63..126, in record order
         c = next(ord(ch) for ch in body if not 63 <= ord(ch) <= 126)
         raise Graph6Error(f"byte {c} outside graph6 range")
-    # base64 takes groups of four digits; the zero digits added run past
-    # the padding, so they are checked with it
-    raw = a2b_base64(digits.translate(_TO_BASE64) + b"A" * (-nbytes % 4))
-    # bit p is the p-th pair of the column-major upper triangle
-    pairs = int.from_bytes(raw.translate(_REVERSED_BITS), "little")
-    if pairs >> nbits:
+    # the low 6 * nbytes - nbits bits of the last digit are padding
+    if digits and (digits[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error("set bit in padding")
-    # column j, the row of j below the diagonal, starts at bit j(j-1)/2
-    rows = [0] * n
-    for j in range(1, n):
-        low = pairs >> (j * (j - 1) // 2) & ((1 << j) - 1)
-        rows[j] = low
-        bit = 1 << j
-        while low:
-            i = low & -low
-            rows[i.bit_length() - 1] |= bit
-            low ^= i
+    tables, unpack = _order_decoder(n)
+    # no two tables set one pair, so the sum of their entries is the union
+    packed = sum(map(list.__getitem__, tables, digits + digits[_WHOLE_DIGITS:]))
     # _parse_order bounds n, and each pair sets both of its bits, never
     # one on the diagonal
-    return trusted_graph(n, tuple(rows))
+    return trusted_graph(n, unpack(packed.to_bytes(8 * n, "little")))
 
 
 def write_graph6(g: Graph) -> str:
@@ -241,10 +288,11 @@ def write_graph6(g: Graph) -> str:
         prefix = chr(n + 63)
     else:
         prefix = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    # the steps of parse_graph6 backwards, in whole base64 groups
-    pairs = 0
-    for j in range(1, n):
-        pairs |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    # bit p is the p-th pair of the column-major upper triangle: column j
+    # is the row of j below the diagonal
+    pairs = sum(map(lshift, map(and_, g.adj, _LOW_MASKS), _COLUMN_OFFSETS))
+    # reversing the bits of each byte and reading them as base64 in whole
+    # groups of four digits gives the body
     nbytes = (n * (n - 1) // 2 + 5) // 6
     raw = pairs.to_bytes(-(-nbytes // 4) * 3, "little").translate(_REVERSED_BITS)
     body = b2a_base64(raw, newline=False)[:nbytes].translate(_TO_GRAPH6)

@@ -358,13 +358,13 @@ REGULAR_COUNTS = {(3, 8): 5, (3, 10): 19, (4, 9): 16, (4, 10): 59}
 # output. marked_code reads 0 because the tie searches find v's code
 # themselves; a call that comes back shows there. closure_mask counts the
 # cut closures that build each child's non-cutvertex mask from its
-# parent's, one per parent cutvertex, and one more for the neighbour of a
-# pendant newest vertex, for every child within the deficit budget
+# parent's, one per parent cutvertex for every child within the deficit
+# budget whose newest vertex is not pendant; a pendant one needs none
 GENERATOR_WORK = {
-    (7, 0, None): (1361, 1361, 3402, 0, 62, 382, 1031),
-    (9, 3, 4): (4284, 4492, 8211, 0, 826, 898, 1310),
-    (10, 3, 3): (592, 850, 1938, 0, 197, 317, 766),
-    (10, 4, 4): (3152, 4614, 8665, 0, 980, 1408, 767),
+    (7, 0, None): (1361, 1361, 3402, 0, 62, 382, 229),
+    (9, 3, 4): (4284, 4492, 8211, 0, 826, 898, 798),
+    (10, 3, 3): (592, 850, 1938, 0, 197, 317, 344),
+    (10, 4, 4): (3152, 4614, 8665, 0, 980, 1408, 373),
 }
 
 

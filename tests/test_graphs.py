@@ -1,6 +1,11 @@
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +193,79 @@ def test_parse_graph6_equals_checked_graph():
 def test_roundtrip_random(n, rnd):
     g = random_graph(rnd, n, 0.4)
     assert parse_graph6(write_graph6(g)).adj == g.adj
+
+
+def test_every_padding_bit_is_refused():
+    # each order's padding is the low 6 * nbytes - nbits bits of its last
+    # digit; order 1 has no digits and so no padding
+    rng = random.Random(173)
+    for n in range(1, 65):
+        nbits = n * (n - 1) // 2
+        nbytes = (nbits + 5) // 6
+        rec = write_graph6(random_graph(rng, n, 0.5))
+        for b in range(6 * nbytes - nbits):
+            stray = rec[:-1] + chr(ord(rec[-1]) + (1 << b))
+            with pytest.raises(Graph6Error, match="^set bit in padding$"):
+                parse_graph6(stray)
+
+
+@pytest.fixture
+def cleared_tables():
+    """The decoder's digit tables as a fresh import leaves them: none built."""
+    graphs._digit_tables.cache_clear()
+    graphs._order_decoder.cache_clear()
+    yield
+    graphs._digit_tables.cache_clear()
+    graphs._order_decoder.cache_clear()
+
+
+def test_tables_grow_to_the_largest_order_in_any_order(cleared_tables):
+    # the tables are shared by every order: a large order first builds
+    # tables that a smaller one then reuses, and a larger one adds to them
+    rng = random.Random(179)
+    for n in (34, 10, 64, 2, 63, 17):
+        for p in (0.1, 0.5, 0.9):
+            rec = write_graph6(random_graph(rng, n, p))
+            h = parse_graph6(rec)
+            assert (h.n, set(h.edges())) == ref_graph6_decode(rec)
+
+
+def test_tables_built_by_two_threads_at_once(cleared_tables):
+    rng = random.Random(181)
+    records = {n: [write_graph6(random_graph(rng, n, p)) for p in (0.1, 0.5, 0.9)] for n in (40, 64)}
+    start = threading.Barrier(len(records))
+    got = {}
+
+    def decode(n):
+        start.wait()
+        got[n] = [parse_graph6(rec) for rec in records[n]]
+
+    threads = [threading.Thread(target=decode, args=(n,)) for n in records]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(got) == sorted(records)
+    for n, recs in records.items():
+        assert [(h.n, set(h.edges())) for h in got[n]] == list(map(ref_graph6_decode, recs))
+
+
+def test_tables_are_built_only_when_parsed():
+    # in a fresh process: importing builds no table, and order-12 records
+    # (66 pairs, 11 digits) build exactly the tables of digits 0..10
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import hamclass
+from hamclass import graphs
+sizes = [graphs._digit_tables.cache_info().currsize, graphs._order_decoder.cache_info().currsize]
+for rec in ("KzKWWKB?[@wB", "K??????????w", "K~~~~~~~~~~w"):
+    graphs.parse_graph6(rec)
+print(sizes, graphs._digit_tables.cache_info().currsize)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] 11"
 
 
 def test_degree_profile_examples():
